@@ -289,6 +289,10 @@ std::vector<JournalRecord> FileJournal::read_file(const std::string& path) {
   std::size_t line_number = 0;
   while (std::getline(file, line)) {
     ++line_number;
+    // append() writes the newline last, so it is the record's commit
+    // mark: a final line without one is a torn append that never became
+    // durable, the same legal loss MemoryJournal::drop_tail models.
+    if (file.eof()) break;
     if (line.empty() || line[0] == '#') continue;
     try {
       records.push_back(parse_line(line));

@@ -201,7 +201,8 @@ class FileJournal final : public IJournalSink {
   const std::string& path() const noexcept { return path_; }
 
   /// Parses a journal file; throws std::runtime_error (with a line
-  /// number) on malformed input.
+  /// number) on a malformed newline-terminated line. An unterminated
+  /// final line is a torn append and is dropped.
   static std::vector<JournalRecord> read_file(const std::string& path);
 
  private:

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -228,6 +229,51 @@ TEST(Journal, ReadFileRejectsMalformedLines) {
     std::ofstream file(path);
     file << "this is not a journal record\n";
   }
+  EXPECT_THROW(FileJournal::read_file(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ReadFileDropsATornFinalRecord) {
+  // A crash mid-append leaves the last record without its newline. Every
+  // such cut must recover exactly the records before it — never throw,
+  // never parse a truncated value (a lease of 10.5 read as 10).
+  const std::string path = "test_journal_torn_tail.wal";
+  {
+    FileJournal journal(path);
+    ResourceBroker broker = make();
+    broker.attach_journal(&journal, 64, 0.0);
+    ASSERT_TRUE(broker.reserve(1.0, s1, 10.0));
+    ASSERT_TRUE(broker.reserve_leased(2.0, s2, 20.0, 10.5));
+  }
+  std::string content;
+  {
+    std::ifstream file(path);
+    content.assign(std::istreambuf_iterator<char>(file),
+                   std::istreambuf_iterator<char>());
+  }
+  const std::vector<JournalRecord> all = FileJournal::read_file(path);
+  ASSERT_EQ(all.size(), 3u);
+  ASSERT_EQ(content.back(), '\n');
+  const std::size_t last_length =
+      content.size() - 1 - content.rfind('\n', content.size() - 2);
+  const auto write = [&path](const std::string& text) {
+    std::ofstream file(path, std::ios::trunc);
+    file << text;
+  };
+  for (std::size_t cut = 1; cut <= last_length; ++cut) {
+    write(content.substr(0, content.size() - cut));
+    std::vector<JournalRecord> records;
+    ASSERT_NO_THROW(records = FileJournal::read_file(path)) << "cut " << cut;
+    ASSERT_EQ(records.size(), 2u) << "cut " << cut;
+    for (std::size_t i = 0; i < records.size(); ++i)
+      EXPECT_EQ(to_line(records[i]), to_line(all[i])) << "cut " << cut;
+    const ResourceBroker recovered = ResourceBroker::recover(records);
+    EXPECT_EQ(recovered.held_by(s1), 10.0) << "cut " << cut;
+    EXPECT_EQ(recovered.held_by(s2), 0.0) << "cut " << cut;
+  }
+  // Corruption anywhere before the final newline is not a torn append.
+  write(content.substr(0, content.size() - last_length) + "garbage\n" +
+        content.substr(content.size() - last_length));
   EXPECT_THROW(FileJournal::read_file(path), std::runtime_error);
   std::remove(path.c_str());
 }

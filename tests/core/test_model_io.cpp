@@ -122,6 +122,13 @@ struct BadCase {
   const char* text;
 };
 
+// Without this, gtest prints a BadCase as the raw bytes of its two pointers,
+// which vary with address-space randomisation; gtest_discover_tests copies
+// that text into the ctest test names, so they would change on every build.
+void PrintTo(const BadCase& bad_case, std::ostream* os) {
+  *os << bad_case.name;
+}
+
 class ModelIoErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ModelIoErrors, Rejected) {

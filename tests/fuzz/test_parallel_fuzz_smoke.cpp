@@ -1,11 +1,9 @@
-// Bounded in-tree run of the parallel-planner fuzz harness
+// Bounded in-tree run of the batch-admission fuzz harness
 // (parallel_fuzz.*) so tier-1 ctest proves thread-count independence on
-// every build: pass-I labels bit-identical across relax_qrg, both
-// dijkstra_qrg queues and parallel_relax_qrg at several worker counts,
-// ParallelPlanner == BasicPlanner, and establish_batch producing
-// bit-identical results and broker accounting whether planning runs
-// inline or on a pool. The standalone qres_fuzz --mode parallel driver
-// runs the same iterations at scale under sanitizers and TSan.
+// every build: establish_batch producing bit-identical results and
+// broker accounting whether planning runs inline or on a pool. The
+// standalone qres_fuzz --mode parallel driver runs the same iterations
+// at scale under sanitizers and TSan.
 #include <gtest/gtest.h>
 
 #include "parallel_fuzz.hpp"
@@ -22,25 +20,19 @@ TEST(ParallelFuzzSmoke, IterationsAreClean) {
     const std::string failure = fuzz::run_parallel_iteration(seed, &stats);
     EXPECT_EQ(failure, "") << "iteration " << iter;
   }
-  // A clean run must prove it exercised the parallel machinery, not just
-  // trivially empty worlds.
-  EXPECT_GT(stats.qrgs, 0u);
-  EXPECT_GT(stats.label_comparisons, 0u);
-  EXPECT_GT(stats.plans, 0u);
+  // A clean run must prove it exercised batch admission, not just
+  // trivially empty batches.
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GT(stats.batch_sessions, 0u);
   EXPECT_GT(stats.admitted, 0u);
 }
 
 TEST(ParallelFuzzSmoke, IterationsAreDeterministicPerSeed) {
-  // The --repro-seed contract: the same seed replays the same worlds and
-  // batches and reaches the same verdict and coverage.
+  // The --repro-seed contract: the same seed replays the same world and
+  // batch and reaches the same verdict and coverage.
   fuzz::ParallelFuzzStats a, b;
   EXPECT_EQ(fuzz::run_parallel_iteration(42, &a),
             fuzz::run_parallel_iteration(42, &b));
-  EXPECT_EQ(a.qrgs, b.qrgs);
-  EXPECT_EQ(a.label_comparisons, b.label_comparisons);
-  EXPECT_EQ(a.plans, b.plans);
   EXPECT_EQ(a.batch_sessions, b.batch_sessions);
   EXPECT_EQ(a.admitted, b.admitted);
   EXPECT_EQ(a.conflicts_replanned, b.conflicts_replanned);
