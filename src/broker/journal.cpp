@@ -1,7 +1,9 @@
 #include "broker/journal.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -246,8 +248,30 @@ JournalRecord parse_line(const std::string& line) {
 // ---------------------------------------------------------------------------
 // FileJournal
 
+namespace {
+
+/// Cuts an existing journal file back to its last newline. append() writes
+/// the newline last, so the bytes after it are a torn record that never
+/// became durable; appending behind them would glue the next record onto
+/// the torn line and make the file unreadable mid-way.
+void drop_torn_tail(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return;  // no file yet: the open below creates it
+  const std::string content{std::istreambuf_iterator<char>(file),
+                            std::istreambuf_iterator<char>()};
+  const std::size_t last_newline = content.rfind('\n');
+  const std::size_t keep =
+      last_newline == std::string::npos ? 0 : last_newline + 1;
+  if (keep == content.size()) return;
+  file.close();
+  std::filesystem::resize_file(path, keep);
+}
+
+}  // namespace
+
 FileJournal::FileJournal(std::string path, bool truncate)
     : path_(std::move(path)) {
+  if (!truncate) drop_torn_tail(path_);
   std::ofstream file(path_, truncate ? std::ios::trunc : std::ios::app);
   if (!file)
     throw std::runtime_error("FileJournal: cannot open " + path_);

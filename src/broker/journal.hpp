@@ -190,7 +190,10 @@ class MemoryJournal final : public IJournalSink {
 class FileJournal final : public IJournalSink {
  public:
   /// Opens `path` for appending (`truncate` starts a fresh journal).
-  /// Throws std::runtime_error when the file cannot be opened.
+  /// Reopening an existing journal (`truncate` false) first cuts a torn
+  /// final record, the bytes after the last newline, so the next append
+  /// starts on a line of its own. Throws std::runtime_error when the file
+  /// cannot be opened or cut.
   explicit FileJournal(std::string path, bool truncate = true);
 
   JournalStatus append(const JournalRecord& record) override

@@ -35,6 +35,12 @@ class AvailabilityView {
     return observations_.at(id);
   }
 
+  /// The observation of a resource, or nullptr when it is absent.
+  const ResourceObservation* find(ResourceId id) const noexcept {
+    const auto it = observations_.find(id);
+    return it == observations_.end() ? nullptr : &it->second;
+  }
+
   std::size_t size() const noexcept { return observations_.size(); }
   auto begin() const noexcept { return observations_.begin(); }
   auto end() const noexcept { return observations_.end(); }

@@ -96,7 +96,7 @@ PlanResult ExhaustivePlanner::plan(const Qrg& qrg, Rng& /*rng*/) const {
                       qrg.node_of(c, QrgNodeKind::kOut, winner[c]));
     QRES_ASSERT(e != QrgEdge::kNone);
     const QrgEdge& edge = qrg.edge(e);
-    plan.steps.push_back(PlanStep{c, flat, winner[c], edge.requirement,
+    plan.steps.push_back(PlanStep{c, flat, winner[c], qrg.requirement(e),
                                   edge.psi});
     if (edge.psi > bottleneck) {
       bottleneck = edge.psi;

@@ -1,11 +1,19 @@
 #include "core/service.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <set>
 
+#include "core/qrg.hpp"
 #include "util/assert.hpp"
 
 namespace qres {
+
+struct ServiceDefinition::SkeletonCell {
+  std::once_flag once;
+  std::optional<QrgSkeleton> skeleton;
+};
 
 ServiceDefinition::ServiceDefinition(
     std::string name, std::vector<ServiceComponent> components,
@@ -13,7 +21,8 @@ ServiceDefinition::ServiceDefinition(
     QoSVector source_quality)
     : name_(std::move(name)),
       components_(std::move(components)),
-      source_quality_(std::move(source_quality)) {
+      source_quality_(std::move(source_quality)),
+      skeleton_(std::make_shared<SkeletonCell>()) {
   QRES_REQUIRE(!name_.empty(), "ServiceDefinition: name must be non-empty");
   QRES_REQUIRE(!components_.empty(),
                "ServiceDefinition: at least one component required");
@@ -80,10 +89,11 @@ const ServiceComponent& ServiceDefinition::component(
   return components_[index];
 }
 
-ServiceComponent& ServiceDefinition::component(ComponentIndex index) {
+void ServiceDefinition::set_component_host(ComponentIndex index,
+                                           HostId host) {
   QRES_REQUIRE(index < components_.size(),
-               "ServiceDefinition::component: index out of range");
-  return components_[index];
+               "ServiceDefinition::set_component_host: index out of range");
+  components_[index].set_host(host);
 }
 
 const std::vector<ComponentIndex>& ServiceDefinition::predecessors(
@@ -158,6 +168,14 @@ std::size_t ServiceDefinition::rank_of(LevelIndex sink_level) const {
     if (ranking_[i] == sink_level) return i;
   QRES_REQUIRE(false, "rank_of: unknown sink level");
   return ranking_.size();  // unreachable
+}
+
+const QrgSkeleton& ServiceDefinition::qrg_skeleton() const {
+  QRES_REQUIRE(skeleton_ != nullptr,
+               "ServiceDefinition::qrg_skeleton: moved-from definition");
+  std::call_once(skeleton_->once,
+                 [this] { skeleton_->skeleton.emplace(*this); });
+  return *skeleton_->skeleton;
 }
 
 }  // namespace qres

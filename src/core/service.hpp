@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,8 @@ namespace qres {
 
 /// Index of a component within a ServiceDefinition.
 using ComponentIndex = std::uint32_t;
+
+struct QrgSkeleton;  // core/qrg.hpp
 
 class ServiceDefinition {
  public:
@@ -47,7 +50,10 @@ class ServiceDefinition {
 
   std::size_t component_count() const noexcept { return components_.size(); }
   const ServiceComponent& component(ComponentIndex index) const;
-  ServiceComponent& component(ComponentIndex index);
+
+  /// Moves a component to another host. Components are otherwise fixed
+  /// after construction: the QRG skeleton is derived from them once.
+  void set_component_host(ComponentIndex index, HostId host);
 
   const QoSVector& source_quality() const noexcept { return source_quality_; }
 
@@ -100,7 +106,15 @@ class ServiceDefinition {
   /// to exist.
   std::size_t rank_of(LevelIndex sink_level) const;
 
+  /// The availability-independent part of this service's QRG (nodes,
+  /// equivalence edges, operating points with their requirements). Built
+  /// on first use, thread-safely, and shared with every copy of this
+  /// definition; the end-to-end ranking is not part of it.
+  const QrgSkeleton& qrg_skeleton() const;
+
  private:
+  struct SkeletonCell;
+
   std::string name_;
   std::vector<ServiceComponent> components_;
   std::vector<std::vector<ComponentIndex>> preds_;
@@ -111,6 +125,7 @@ class ServiceDefinition {
   ComponentIndex sink_ = 0;
   bool is_chain_ = true;
   std::vector<LevelIndex> ranking_;
+  std::shared_ptr<SkeletonCell> skeleton_;
 };
 
 }  // namespace qres

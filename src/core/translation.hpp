@@ -27,6 +27,10 @@ using LevelIndex = std::uint32_t;
 /// requirement, or nullopt when the component cannot produce that output
 /// from that input. Indices refer to the enumerated level lists of the
 /// owning ServiceComponent.
+///
+/// Must be a pure function of (in, out): the QRG skeleton evaluates it once
+/// per service and reuses the result for every session (core/qrg.hpp), so
+/// a result that changes over time would never be seen.
 using TranslationFn =
     std::function<std::optional<ResourceVector>(LevelIndex in, LevelIndex out)>;
 

@@ -278,6 +278,48 @@ TEST(Journal, ReadFileDropsATornFinalRecord) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, ReopenCutsATornTailBeforeAppending) {
+  // A journal reopened for appending after a crash mid-append must not
+  // glue its next record onto the torn line: the torn record is dropped
+  // (a legal loss) and everything else stays recoverable.
+  const std::string path = "test_journal_reopen_torn.wal";
+  {
+    FileJournal journal(path);
+    ResourceBroker broker = make();
+    broker.attach_journal(&journal, 64, 0.0);
+    ASSERT_TRUE(broker.reserve(1.0, s1, 10.0));
+    ASSERT_TRUE(broker.reserve(2.0, s2, 20.0));
+  }
+  std::string content;
+  {
+    std::ifstream file(path);
+    content.assign(std::istreambuf_iterator<char>(file),
+                   std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(FileJournal::read_file(path).size(), 3u);
+  {
+    std::ofstream file(path, std::ios::trunc);
+    file << content.substr(0, content.size() - 3);
+  }
+  JournalRecord extra;
+  extra.op = JournalOp::kRelease;
+  extra.time = 3.0;
+  extra.resource = rid;
+  extra.session = s1;
+  {
+    FileJournal journal(path, /*truncate=*/false);
+    ASSERT_EQ(journal.append(extra), JournalStatus::kOk);
+  }
+  std::vector<JournalRecord> records;
+  ASSERT_NO_THROW(records = FileJournal::read_file(path));
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(to_line(records.back()), to_line(extra));
+  const ResourceBroker recovered = ResourceBroker::recover(records);
+  EXPECT_EQ(recovered.held_by(s1), 0.0);
+  EXPECT_EQ(recovered.held_by(s2), 0.0);
+  std::remove(path.c_str());
+}
+
 // --- Sink I/O failure injection --------------------------------------------
 
 /// Sink that refuses appends on command: delegates to a MemoryJournal

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <tuple>
+
 #include "../test_helpers.hpp"
+#include "core/planner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qres {
 namespace {
@@ -116,7 +122,7 @@ TEST(Qrg, SessionScaleMultipliesRequirements) {
   const std::uint32_t e2 = scaled2.find_edge(
       scaled2.source_node(), scaled2.node_of(0, QrgNodeKind::kOut, 1));
   ASSERT_NE(e2, QrgEdge::kNone);
-  EXPECT_DOUBLE_EQ(scaled2.edge(e2).requirement.get(cpu), 8.0);
+  EXPECT_DOUBLE_EQ(scaled2.requirement(e2).get(cpu), 8.0);
 }
 
 TEST(Qrg, EquivalenceEdgesAreZeroWeight) {
@@ -128,7 +134,7 @@ TEST(Qrg, EquivalenceEdgesAreZeroWeight) {
   ASSERT_NE(e, QrgEdge::kNone);
   EXPECT_EQ(qrg.edge(e).psi, 0.0);
   EXPECT_FALSE(qrg.edge(e).is_translation);
-  EXPECT_TRUE(qrg.edge(e).requirement.empty());
+  EXPECT_TRUE(qrg.requirement(e).empty());
 }
 
 TEST(Qrg, AlphaPropagatesFromObservation) {
@@ -192,6 +198,97 @@ TEST(Qrg, EdgeAndNodeAccessorsValidate) {
   EXPECT_THROW(qrg.edge(1000), ContractViolation);
   EXPECT_THROW(qrg.node_of(0, QrgNodeKind::kOut, 9), ContractViolation);
   EXPECT_EQ(qrg.find_edge(5000, 0), QrgEdge::kNone);
+}
+
+TEST(Qrg, RankingSetAfterTheFirstBuildReachesTheNextQrg) {
+  // The ranking is not part of the cached skeleton.
+  ServiceDefinition service = two_chain();
+  const AvailabilityView view = avail({{cpu, 100}, {bw, 100}});
+  const Qrg first(service, view);
+  EXPECT_EQ(first.node(first.ranked_sink_nodes()[0]).level, 0u);
+  service.set_end_to_end_ranking({1, 0});
+  const Qrg second(service, view);
+  ASSERT_EQ(second.ranked_sink_nodes().size(), 2u);
+  EXPECT_EQ(second.node(second.ranked_sink_nodes()[0]).level, 1u);
+  EXPECT_EQ(second.node(second.ranked_sink_nodes()[1]).level, 0u);
+}
+
+TEST(Qrg, CopiedServicePlansIdentically) {
+  const ServiceDefinition original = two_chain();
+  const AvailabilityView view = avail({{cpu, 40}, {bw, 12}});
+  const ServiceDefinition early = original;  // copied before first use
+  const Qrg built(original, view);
+  const ServiceDefinition late = original;  // copied after first use
+  EXPECT_EQ(&early.qrg_skeleton(), &original.qrg_skeleton());
+  EXPECT_EQ(&late.qrg_skeleton(), &original.qrg_skeleton());
+  Rng rng(1);
+  const PlanResult want = BasicPlanner().plan(built, rng);
+  ASSERT_TRUE(want.plan.has_value());
+  for (const ServiceDefinition* copy : {&early, &late}) {
+    const PlanResult got = BasicPlanner().plan(Qrg(*copy, view), rng);
+    ASSERT_TRUE(got.plan.has_value());
+    EXPECT_EQ(got.plan->end_to_end_level, want.plan->end_to_end_level);
+    EXPECT_EQ(got.plan->bottleneck_psi, want.plan->bottleneck_psi);
+    EXPECT_EQ(got.plan->bottleneck_resource, want.plan->bottleneck_resource);
+    ASSERT_EQ(got.plan->steps.size(), want.plan->steps.size());
+    for (std::size_t i = 0; i < want.plan->steps.size(); ++i) {
+      EXPECT_EQ(got.plan->steps[i].in_level, want.plan->steps[i].in_level);
+      EXPECT_EQ(got.plan->steps[i].out_level, want.plan->steps[i].out_level);
+      EXPECT_EQ(got.plan->steps[i].psi, want.plan->steps[i].psi);
+      EXPECT_TRUE(got.plan->steps[i].requirement ==
+                  want.plan->steps[i].requirement);
+    }
+  }
+}
+
+TEST(Qrg, MissingResourceBehindAnInfeasibleOneDoesNotThrow) {
+  // Resources are checked in ascending id order and the first infeasible
+  // one drops the edge, so a missing resource after it is never looked up.
+  TranslationTable t0;
+  t0.set(0, 0, rv({{cpu, 8.0}, {bw, 5.0}}));
+  const ServiceDefinition service = make_chain({{1, t0}});
+  const Qrg qrg(service, avail({{cpu, 4}}));
+  EXPECT_EQ(qrg.find_edge(qrg.source_node(),
+                          qrg.node_of(0, QrgNodeKind::kOut, 0)),
+            QrgEdge::kNone);
+  // Once cpu fits, the missing bw is a contract violation again.
+  EXPECT_THROW(Qrg(service, avail({{cpu, 100}})), ContractViolation);
+}
+
+/// Everything a Qrg exposes per edge, for whole-graph equality.
+using EdgeImage = std::tuple<std::uint32_t, std::uint32_t, double, double,
+                             std::uint32_t, bool, ResourceVector>;
+
+std::vector<EdgeImage> image(const Qrg& qrg) {
+  std::vector<EdgeImage> edges;
+  for (std::uint32_t e = 0; e < qrg.edge_count(); ++e) {
+    const QrgEdge& edge = qrg.edge(e);
+    edges.emplace_back(edge.from, edge.to, edge.psi, edge.alpha,
+                       edge.bottleneck.value(), edge.is_translation,
+                       qrg.requirement(e));
+  }
+  return edges;
+}
+
+TEST(QrgSkeleton, ConcurrentFirstUse) {
+  // Four workers construct QRGs of a service whose skeleton does not exist
+  // yet, released together so the lazy build races.
+  const ServiceDefinition service = two_chain();
+  const AvailabilityView view = avail({{cpu, 40}, {bw, 12}});
+  constexpr std::size_t kWorkers = 4;
+  std::vector<std::vector<EdgeImage>> results(kWorkers);
+  std::atomic<std::size_t> ready{0};
+  ThreadPool pool(kWorkers);
+  for (std::size_t i = 0; i < kWorkers; ++i)
+    pool.submit([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers) std::this_thread::yield();
+      results[i] = image(Qrg(service, view, PsiKind::kRatio, 2.0));
+    });
+  pool.wait();
+  EXPECT_FALSE(results[0].empty());
+  for (std::size_t i = 1; i < kWorkers; ++i) EXPECT_EQ(results[i], results[0]);
+  EXPECT_EQ(results[0], image(Qrg(service, view, PsiKind::kRatio, 2.0)));
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <deque>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "broker/resource_broker.hpp"
 #include "core/exhaustive.hpp"
-#include "core/qrg.hpp"
 
 namespace qres::fuzz {
 
@@ -139,6 +139,156 @@ World make_world(Rng& rng, const GenOptions& opt) {
                std::move(view), std::move(resources)};
 }
 
+ReferenceQrg reference_qrg(const ServiceDefinition& service,
+                           const AvailabilityView& availability,
+                           PsiKind psi_kind, double scale) {
+  ReferenceQrg qrg;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> node_index(
+      service.component_count(), {QrgEdge::kNone, QrgEdge::kNone});
+  const auto add_node = [&](ComponentIndex c, QrgNodeKind kind,
+                            LevelIndex level) {
+    qrg.nodes.push_back(QrgNode{c, kind, level});
+    qrg.in_edges.emplace_back();
+    qrg.out_edges.emplace_back();
+  };
+  const auto node_of = [&](ComponentIndex c, QrgNodeKind kind,
+                           LevelIndex level) {
+    return (kind == QrgNodeKind::kIn ? node_index[c].first
+                                     : node_index[c].second) +
+           level;
+  };
+  const auto add_edge = [&](ReferenceEdge edge) {
+    const auto index = static_cast<std::uint32_t>(qrg.edges.size());
+    qrg.in_edges[edge.to].push_back(index);
+    qrg.out_edges[edge.from].push_back(index);
+    qrg.edges.push_back(std::move(edge));
+  };
+
+  for (ComponentIndex c : service.topological_order()) {
+    const std::size_t in_count = service.in_level_count(c);
+    node_index[c].first = static_cast<std::uint32_t>(qrg.nodes.size());
+    for (LevelIndex i = 0; i < in_count; ++i) add_node(c, QrgNodeKind::kIn, i);
+    node_index[c].second = static_cast<std::uint32_t>(qrg.nodes.size());
+    const std::size_t out_count = service.component(c).out_level_count();
+    for (LevelIndex o = 0; o < out_count; ++o)
+      add_node(c, QrgNodeKind::kOut, o);
+  }
+  qrg.source_node = node_of(service.source(), QrgNodeKind::kIn, 0);
+
+  for (ComponentIndex c : service.topological_order()) {
+    const auto& preds = service.predecessors(c);
+    if (preds.empty()) continue;
+    const std::size_t in_count = service.in_level_count(c);
+    for (LevelIndex flat = 0; flat < in_count; ++flat) {
+      const std::vector<LevelIndex> combo = service.in_level_combo(c, flat);
+      for (std::size_t p = 0; p < preds.size(); ++p) {
+        ReferenceEdge edge;
+        edge.from = node_of(preds[p], QrgNodeKind::kOut, combo[p]);
+        edge.to = node_of(c, QrgNodeKind::kIn, flat);
+        edge.is_translation = false;
+        add_edge(edge);
+      }
+    }
+  }
+
+  for (ComponentIndex c : service.topological_order()) {
+    const ServiceComponent& component = service.component(c);
+    const std::size_t in_count = service.in_level_count(c);
+    for (LevelIndex in = 0; in < in_count; ++in) {
+      for (LevelIndex out = 0; out < component.out_level_count(); ++out) {
+        const auto base = component.requirement(in, out);
+        if (!base) continue;
+        const ResourceVector req = base->scaled(scale);
+        double psi = 0.0;
+        double alpha = 1.0;
+        ResourceId bottleneck;
+        bool feasible = true;
+        for (const auto& [rid, amount] : req) {
+          QRES_REQUIRE(availability.contains(rid),
+                       "reference_qrg: availability snapshot is missing a "
+                       "resource referenced by component '" +
+                           component.name() + "'");
+          const ResourceObservation& obs = availability.get(rid);
+          if (amount > obs.available || obs.available <= 0.0) {
+            feasible = false;
+            break;
+          }
+          const double index =
+              contention_index(psi_kind, amount, obs.available);
+          if (!bottleneck.valid() || index > psi) {
+            psi = index;
+            alpha = obs.alpha;
+            bottleneck = rid;
+          }
+        }
+        if (!feasible) continue;
+        ReferenceEdge edge;
+        edge.from = node_of(c, QrgNodeKind::kIn, in);
+        edge.to = node_of(c, QrgNodeKind::kOut, out);
+        edge.psi = psi;
+        edge.alpha = alpha;
+        edge.bottleneck = bottleneck;
+        edge.requirement = req;
+        edge.is_translation = true;
+        add_edge(edge);
+      }
+    }
+  }
+
+  for (LevelIndex level : service.end_to_end_ranking())
+    qrg.ranked_sinks.push_back(
+        node_of(service.sink(), QrgNodeKind::kOut, level));
+  return qrg;
+}
+
+std::string check_reference_qrg(const Qrg& qrg, const ReferenceQrg& expected) {
+  if (qrg.node_count() != expected.nodes.size())
+    return "node count " + std::to_string(qrg.node_count()) +
+           " != reference " + std::to_string(expected.nodes.size());
+  if (qrg.edge_count() != expected.edges.size())
+    return "edge count " + std::to_string(qrg.edge_count()) +
+           " != reference " + std::to_string(expected.edges.size());
+  if (qrg.source_node() != expected.source_node)
+    return "source node differs from the reference";
+  const auto same_list = [](std::span<const std::uint32_t> a,
+                            const std::vector<std::uint32_t>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  for (std::uint32_t v = 0; v < expected.nodes.size(); ++v) {
+    const std::string where = "node " + std::to_string(v) + ": ";
+    const QrgNode& got = qrg.node(v);
+    const QrgNode& want = expected.nodes[v];
+    if (got.component != want.component || got.kind != want.kind ||
+        got.level != want.level)
+      return where + "(component, kind, level) differs from the reference";
+    if (!same_list(qrg.in_edges(v), expected.in_edges[v]))
+      return where + "in-edge list differs from the reference";
+    if (!same_list(qrg.out_edges(v), expected.out_edges[v]))
+      return where + "out-edge list differs from the reference";
+  }
+  for (std::uint32_t e = 0; e < expected.edges.size(); ++e) {
+    const std::string where = "edge " + std::to_string(e) + ": ";
+    const QrgEdge& got = qrg.edge(e);
+    const ReferenceEdge& want = expected.edges[e];
+    if (got.from != want.from || got.to != want.to)
+      return where + "endpoints differ from the reference";
+    if (got.is_translation != want.is_translation)
+      return where + "is_translation differs from the reference";
+    if (got.psi != want.psi)
+      return where + "psi " + str(got.psi) + " != reference " + str(want.psi);
+    if (got.alpha != want.alpha)
+      return where + "alpha " + str(got.alpha) + " != reference " +
+             str(want.alpha);
+    if (got.bottleneck != want.bottleneck)
+      return where + "bottleneck differs from the reference";
+    if (!(qrg.requirement(e) == want.requirement))
+      return where + "requirement differs from the reference";
+  }
+  if (qrg.ranked_sink_nodes() != expected.ranked_sinks)
+    return "ranked sink nodes differ from the reference";
+  return {};
+}
+
 std::string check_differential(const Qrg& qrg) {
   for (const bool tie_break : {true, false}) {
     PlannerOptions options;
@@ -208,7 +358,7 @@ std::string check_plan_wellformed(const Qrg& qrg,
     if (step.psi != edge.psi)
       return where + "recorded psi " + str(step.psi) +
              " != edge psi " + str(edge.psi);
-    if (!(step.requirement == edge.requirement))
+    if (!(step.requirement == qrg.requirement(e)))
       return where + "recorded requirement differs from the edge's";
     // Input combo consistency: the step consumes exactly the output
     // levels its predecessors chose.
@@ -501,12 +651,27 @@ std::string run_iteration(std::uint64_t seed, FuzzStats* stats) {
     opt.dag = dag;
     if (dag) opt.max_components = 6;
     World world = make_world(rng, opt);
+    const std::string kind = dag ? "dag" : "chain";
+    // Two snapshots of one service: the second Qrg reuses the skeleton the
+    // first one built. The second snapshot draws from its own stream so the
+    // main stream (and with it every later world) stays as it was.
+    Rng snapshot_rng(seed ^ (dag ? 0x5eed0002u : 0x5eed0001u));
+    AvailabilityView second;
+    for (const auto& [rid, obs] : world.view)
+      second.set(rid, obs.available * snapshot_rng.uniform(0.3, 1.5),
+                 snapshot_rng.uniform(0.5, 1.5));
+    for (const AvailabilityView* view : {&world.view, &second}) {
+      const Qrg built(world.service, *view, psi_kind, scale);
+      if (auto err = check_reference_qrg(
+              built, reference_qrg(world.service, *view, psi_kind, scale));
+          !err.empty())
+        return tag(kind + " reference builder", err);
+    }
     const Qrg qrg(world.service, world.view, psi_kind, scale);
     if (stats) {
       ++stats->qrgs;
       stats->nodes += qrg.node_count();
     }
-    const std::string kind = dag ? "dag" : "chain";
     if (auto err = check_differential(qrg); !err.empty())
       return tag(kind + " differential", err);
     if (auto err = check_planners(qrg); !err.empty())

@@ -19,6 +19,7 @@
 
 #include "core/availability.hpp"
 #include "core/planner.hpp"
+#include "core/qrg.hpp"
 #include "core/service.hpp"
 #include "util/rng.hpp"
 
@@ -52,6 +53,39 @@ struct World {
 /// translation functions, plus a random availability snapshot with random
 /// per-resource change indices.
 World make_world(Rng& rng, const GenOptions& opt);
+
+/// The QRG as the pre-skeleton builder produced it, in plain structs: every
+/// node, every edge with its own requirement copy, per-node in/out edge
+/// lists and the ranked sink nodes.
+struct ReferenceEdge {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  double psi = 0.0;
+  double alpha = 1.0;
+  ResourceId bottleneck;
+  ResourceVector requirement;
+  bool is_translation = false;
+};
+
+struct ReferenceQrg {
+  std::vector<QrgNode> nodes;
+  std::vector<ReferenceEdge> edges;
+  std::vector<std::vector<std::uint32_t>> in_edges;
+  std::vector<std::vector<std::uint32_t>> out_edges;
+  std::uint32_t source_node = 0;
+  std::vector<std::uint32_t> ranked_sinks;
+};
+
+/// Builds the QRG from scratch with the original per-session algorithm:
+/// translation functions, in_level_combo and ResourceVector::scaled on
+/// every call, no skeleton. The oracle for Qrg's skeleton + weight pass.
+ReferenceQrg reference_qrg(const ServiceDefinition& service,
+                           const AvailabilityView& availability,
+                           PsiKind psi_kind, double scale);
+
+/// Field-by-field comparison of a Qrg with the reference builder's output
+/// for the same inputs.
+std::string check_reference_qrg(const Qrg& qrg, const ReferenceQrg& expected);
 
 /// relax_qrg and dijkstra_qrg must produce identical labels — value,
 /// reachability, predecessor edge, bottleneck resource and alpha — in both

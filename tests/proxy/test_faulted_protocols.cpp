@@ -208,8 +208,8 @@ TEST(FaultedDistributedSession, UnreachableNeighborKillsTheForwardPass) {
   t0.set(0, 0, rv({{cpu1, 20.0}}));
   t1.set(0, 0, rv({{cpu2, 30.0}}));
   ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}});
-  service.component(0).set_host(HostId{1});
-  service.component(1).set_host(HostId{2});
+  service.set_component_host(0, HostId{1});
+  service.set_component_host(1, HostId{2});
   DistributedSession session(&service, {{cpu1}, {cpu2}}, &registry);
   ScriptedTransport transport;
   session.attach_faults(&transport);
@@ -248,9 +248,9 @@ TEST(FaultedDistributedSession, UnreachableRollbackLeaksLeasedSegment) {
   t1.set(0, 0, rv({{cpu2, 30.0}}));
   t2.set(0, 0, rv({{cpu3, 10.0}}));
   ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}, {1, t2}});
-  service.component(0).set_host(HostId{1});
-  service.component(1).set_host(HostId{2});
-  service.component(2).set_host(HostId{3});
+  service.set_component_host(0, HostId{1});
+  service.set_component_host(1, HostId{2});
+  service.set_component_host(2, HostId{3});
   DistributedSession session(&service, {{cpu1}, {cpu2}, {cpu3}}, &registry);
   ScriptedTransport transport;
   session.attach_faults(&transport);
