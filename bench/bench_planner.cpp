@@ -12,6 +12,10 @@
 // the first-iteration allocator and cache effects stay out of the
 // reported rates.
 //
+// The journal benchmarks time one reserve-sized record per iteration:
+// appended to a MemoryJournal or a FileJournal (no fsync), and
+// serialized by to_line alone.
+//
 // The batch benchmarks report plans_per_sec (a rate counter suitable
 // for BENCH_*.json) across worker counts 1..8 on the figure-9 paper
 // scenario. Single-CPU machines still run them (the determinism
@@ -22,10 +26,13 @@
 // shrinks min_time/warm-up so tier-1 ctest can smoke the whole binary.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "broker/journal.hpp"
 #include "core/planner.hpp"
 #include "core/random_planner.hpp"
 #include "scenario/paper_scenario.hpp"
@@ -225,6 +232,55 @@ void BM_EstablishTeardown(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstablishTeardown);
+
+// ---------------------------------------------------------------------
+// Broker write-ahead journal: one reserve-sized record per iteration.
+
+JournalRecord reserve_record(std::uint32_t session) {
+  JournalRecord record;
+  record.op = JournalOp::kReserve;
+  record.time = 1234.5678901234567;
+  record.resource = ResourceId{7};
+  record.session = SessionId{session};
+  record.amount = 12.345678901234567;
+  return record;
+}
+
+/// The sink is recreated every kRecordsPerSink appends so memory and
+/// file size stay bounded; that cost is amortized into the per-record
+/// time.
+template <typename Sink, typename... Args>
+void append_records(benchmark::State& state, const Args&... args) {
+  constexpr std::uint32_t kRecordsPerSink = 4096;
+  std::optional<Sink> sink;
+  std::uint32_t session = 0;
+  for (auto _ : state) {
+    if (session % kRecordsPerSink == 0) sink.emplace(args...);
+    if (sink->append(reserve_record(++session)) != JournalStatus::kOk)
+      state.SkipWithError("journal append failed");
+  }
+}
+
+void BM_JournalAppendMemory(benchmark::State& state) {
+  append_records<MemoryJournal>(state);
+}
+BENCHMARK(BM_JournalAppendMemory)->Name("BM_JournalAppend/memory");
+
+void BM_JournalAppendFile(benchmark::State& state) {
+  const std::string path = "bench_journal_append.wal";
+  append_records<FileJournal>(state, path);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_JournalAppendFile)->Name("BM_JournalAppend/file");
+
+void BM_JournalToLine(benchmark::State& state) {
+  const JournalRecord record = reserve_record(1);
+  for (auto _ : state) {
+    std::string line = to_line(record);
+    benchmark::DoNotOptimize(line);
+  }
+}
+BENCHMARK(BM_JournalToLine);
 
 // ---------------------------------------------------------------------
 // Batch admission scaling: one batch of same-tick arrivals per

@@ -1,9 +1,14 @@
 #include "broker/journal.hpp"
 
-#include <cstdio>
-#include <filesystem>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <concepts>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,7 +35,6 @@ const char* to_string(JournalOp op) noexcept {
 const char* to_string(JournalStatus status) noexcept {
   switch (status) {
     case JournalStatus::kOk: return "ok";
-    case JournalStatus::kOpenFailed: return "open-failed";
     case JournalStatus::kWriteFailed: return "write-failed";
   }
   return "?";
@@ -101,14 +105,37 @@ std::size_t MemoryJournal::drop_tail(std::size_t count) {
 //   <op> t=<time> r=<resource> [s=<session>] [a=<amount>] [l=<lease>]
 //
 // and for snapshots, the full payload appended as counted lists. Doubles
-// use %.17g so parsing reproduces them bit-exactly.
+// are printed like printf's %.17g (std::to_chars, general format, 17
+// significant digits), so parsing reproduces them bit-exactly.
 
 namespace {
 
-std::string num(double x) {
+/// Each field is appended as ' ' and its text; doubles as %.17g prints
+/// them.
+void put_field(std::string& out, double x) {
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
+  const std::to_chars_result end = std::to_chars(
+      buf, buf + sizeof buf, x, std::chars_format::general, 17);
+  out += ' ';
+  out.insert(out.end(), buf, end.ptr);
+}
+
+template <std::integral Int>
+void put_field(std::string& out, Int x) {
+  char buf[24];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, x);
+  out += ' ';
+  out.insert(out.end(), buf, end.ptr);
+}
+
+void put_field(std::string& out, const std::string& text) {
+  out += ' ';
+  out += text;
+}
+
+template <typename... Fields>
+void put(std::string& out, const Fields&... fields) {
+  (put_field(out, fields), ...);
 }
 
 double parse_double(std::istringstream& in, const char* what) {
@@ -125,44 +152,47 @@ std::uint64_t parse_u64(std::istringstream& in, const char* what) {
   return x;
 }
 
-}  // namespace
-
-std::string to_line(const JournalRecord& record) {
-  std::ostringstream out;
-  out << to_string(record.op) << ' ' << num(record.time) << ' '
-      << (record.resource.valid() ? record.resource.value()
-                                  : ResourceId::kInvalid);
+/// Appends one record's line (no trailing newline) to `out`.
+void append_line(std::string& out, const JournalRecord& record) {
+  out += to_string(record.op);
+  put(out, record.time, record.resource.value());
   if (record.op == JournalOp::kSnapshot) {
     QRES_REQUIRE(!record.name.empty() &&
                      record.name.find_first_of(" \t\n") == std::string::npos,
                  "journal: snapshot name must be non-empty, no whitespace");
-    out << ' ' << record.name << ' ' << num(record.capacity) << ' '
-        << num(record.alpha_window) << ' ' << num(record.history_keep) << ' '
-        << static_cast<unsigned>(record.alpha_mode) << ' '
-        << (record.expiry_log_enabled ? 1 : 0) << ' '
-        << record.expiry_log_capacity << ' ' << num(record.reserved);
-    out << ' ' << record.holdings.size();
+    put(out, record.name, record.capacity, record.alpha_window,
+        record.history_keep, static_cast<unsigned>(record.alpha_mode),
+        record.expiry_log_enabled ? 1 : 0, record.expiry_log_capacity,
+        record.reserved);
+    put(out, record.holdings.size());
     for (const auto& [session, amount] : record.holdings)
-      out << ' ' << session << ' ' << num(amount);
-    out << ' ' << record.lease_deadlines.size();
+      put(out, session, amount);
+    put(out, record.lease_deadlines.size());
     for (const auto& [session, deadline] : record.lease_deadlines)
-      out << ' ' << session << ' ' << num(deadline);
-    out << ' ' << record.history.size();
-    for (const auto& [time, value] : record.history)
-      out << ' ' << num(time) << ' ' << num(value);
-    return out.str();
+      put(out, session, deadline);
+    put(out, record.history.size());
+    for (const auto& [time, value] : record.history) put(out, time, value);
+    return;
   }
   if (record.op == JournalOp::kReplyCache) {
     static const char* digits = "0123456789abcdef";
-    out << ' ' << record.request_id << ' ' << (record.grouped ? 1 : 0) << ' '
-        << record.reply.size() << ' ';
-    for (const std::uint8_t byte : record.reply)
-      out << digits[byte >> 4] << digits[byte & 0xf];
-    return out.str();
+    put(out, record.request_id, record.grouped ? 1 : 0, record.reply.size());
+    out += ' ';
+    for (const std::uint8_t byte : record.reply) {
+      out += digits[byte >> 4];
+      out += digits[byte & 0xf];
+    }
+    return;
   }
-  out << ' ' << record.session.value() << ' ' << num(record.amount) << ' '
-      << num(record.lease);
-  return out.str();
+  put(out, record.session.value(), record.amount, record.lease);
+}
+
+}  // namespace
+
+std::string to_line(const JournalRecord& record) {
+  std::string line;
+  append_line(line, record);
+  return line;
 }
 
 JournalRecord parse_line(const std::string& line) {
@@ -250,46 +280,95 @@ JournalRecord parse_line(const std::string& line) {
 
 namespace {
 
-/// Cuts an existing journal file back to its last newline. append() writes
-/// the newline last, so the bytes after it are a torn record that never
-/// became durable; appending behind them would glue the next record onto
-/// the torn line and make the file unreadable mid-way.
-void drop_torn_tail(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return;  // no file yet: the open below creates it
-  const std::string content{std::istreambuf_iterator<char>(file),
-                            std::istreambuf_iterator<char>()};
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep =
-      last_newline == std::string::npos ? 0 : last_newline + 1;
-  if (keep == content.size()) return;
-  file.close();
-  std::filesystem::resize_file(path, keep);
+/// Writes all of `bytes` at the end of `fd` (O_APPEND), retrying EINTR
+/// and continuing after a partial write. False when the kernel refused
+/// the rest: some prefix of `bytes` may then be in the file.
+bool write_all(int fd, const std::string& bytes) {
+  const char* data = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t written = ::write(fd, data, left);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return false;
+    data += written;
+    left -= static_cast<std::size_t>(written);
+  }
+  return true;
+}
+
+/// Cuts the file back to `size` bytes, the end of its last whole record.
+bool cut_to(int fd, std::uint64_t size) {
+  while (::ftruncate(fd, static_cast<off_t>(size)) != 0)
+    if (errno != EINTR) return false;
+  return true;
+}
+
+/// Cuts the bytes after the file's last newline and returns the size
+/// left; -1 on an I/O error. append() writes the newline last, so those
+/// bytes are a torn record that never became durable.
+off_t cut_torn_tail(int fd) {
+  struct stat info {};
+  if (::fstat(fd, &info) != 0) return -1;
+  char buf[4096];
+  off_t end = info.st_size;
+  off_t keep = 0;
+  while (end > 0 && keep == 0) {
+    const off_t begin = std::max<off_t>(0, end - off_t{sizeof buf});
+    const ssize_t got =
+        ::pread(fd, buf, static_cast<std::size_t>(end - begin), begin);
+    if (got < 0 && errno == EINTR) continue;
+    if (got != end - begin) return -1;
+    for (off_t i = got; i > 0 && keep == 0; --i)
+      if (buf[i - 1] == '\n') keep = begin + i;
+    end = begin;
+  }
+  if (keep != info.st_size &&
+      !cut_to(fd, static_cast<std::uint64_t>(keep)))
+    return -1;
+  return keep;
 }
 
 }  // namespace
 
 FileJournal::FileJournal(std::string path, bool truncate)
-    : path_(std::move(path)) {
-  if (!truncate) drop_torn_tail(path_);
-  std::ofstream file(path_, truncate ? std::ios::trunc : std::ios::app);
-  if (!file)
-    throw std::runtime_error("FileJournal: cannot open " + path_);
+    : path_(std::move(path)),
+      fd_(::open(path_.c_str(),
+                 O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC |
+                     (truncate ? O_TRUNC : 0),
+                 0644)) {
+  if (fd_ < 0) throw std::runtime_error("FileJournal: cannot open " + path_);
+  // Reopening after a crash mid-append: cut the torn final record so the
+  // next append starts on a line of its own instead of gluing onto it.
+  const off_t size = cut_torn_tail(fd_);
+  if (size < 0) {
+    ::close(fd_);
+    throw std::runtime_error("FileJournal: cannot cut torn tail of " + path_);
+  }
+  MutexLock lock(mutex_);
+  size_ = static_cast<std::uint64_t>(size);
 }
+
+FileJournal::~FileJournal() { ::close(fd_); }
 
 JournalStatus FileJournal::append(const JournalRecord& record) {
   MutexLock lock(mutex_);
-  std::ofstream file(path_, std::ios::app);
-  if (!file) return JournalStatus::kOpenFailed;
-  file << to_line(record) << '\n';
-  // qres-lint: allow(unchecked-status): ofstream::flush (name-collides with
-  // ReplicatedBroker::flush) returns the stream; durability is checked via
-  // the stream state on the next line
-  file.flush();
-  // A failed flush means the line may be torn or absent on disk: the
-  // record is not durable and the counter must not claim it is. The
-  // caller (ResourceBroker::journal_append) fails the operation.
-  if (!file) return JournalStatus::kWriteFailed;
+  // A failed cut-back leaves a torn prefix past size_; retry it before
+  // writing, or the next record would be glued onto the torn one.
+  if (torn_) {
+    if (!cut_to(fd_, size_)) return JournalStatus::kWriteFailed;
+    torn_ = false;
+  }
+  line_.clear();
+  append_line(line_, record);
+  line_ += '\n';
+  if (!write_all(fd_, line_)) {
+    // The record is not durable and the counter must not claim it is;
+    // the caller (ResourceBroker::journal_append) fails the operation. A
+    // short write left part of the line in the file: cut it back off.
+    torn_ = !cut_to(fd_, size_);
+    return JournalStatus::kWriteFailed;
+  }
+  size_ += line_.size();
   ++appended_;
   return JournalStatus::kOk;
 }

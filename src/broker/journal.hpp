@@ -64,8 +64,7 @@ const char* to_string(JournalOp op) noexcept;
 /// died in — the one corruption recovery cannot detect).
 enum class QRES_NODISCARD JournalStatus : std::uint8_t {
   kOk = 0,
-  kOpenFailed,   ///< the sink's backing store could not be (re)opened
-  kWriteFailed,  ///< the record was not durably written (short write)
+  kWriteFailed,  ///< the record was not written (failed or short write)
 };
 
 const char* to_string(JournalStatus status) noexcept;
@@ -183,6 +182,14 @@ class MemoryJournal final : public IJournalSink {
 /// digits). The file is never compacted — `qresctl journal` uses the full
 /// history for its replay-and-compare verification.
 ///
+/// The journal holds one O_APPEND descriptor for its lifetime, and each
+/// append is one formatted line handed to a single write(2) (more only
+/// after a partial write). Nothing is buffered across appends and nothing
+/// is fsynced: a record is in the file, in the page cache, before append
+/// returns. A failed or short write is cut back off the file, so the file
+/// always ends on a whole record. The journal assumes it is the file's
+/// only writer.
+///
 /// Thread-safe: append() and load() serialize on an internal mutex, so
 /// several brokers running on a ThreadPool may share one sink. The
 /// locking discipline is checked by clang's thread-safety analysis in
@@ -195,6 +202,10 @@ class FileJournal final : public IJournalSink {
   /// starts on a line of its own. Throws std::runtime_error when the file
   /// cannot be opened or cut.
   explicit FileJournal(std::string path, bool truncate = true);
+  ~FileJournal() override;
+
+  FileJournal(const FileJournal&) = delete;
+  FileJournal& operator=(const FileJournal&) = delete;
 
   JournalStatus append(const JournalRecord& record) override
       QRES_EXCLUDES(mutex_);
@@ -209,11 +220,18 @@ class FileJournal final : public IJournalSink {
   static std::vector<JournalRecord> read_file(const std::string& path);
 
  private:
-  std::string path_;  // immutable after construction; no guard needed
-  // Guards the file itself: interleaved appends from two threads would
+  // Immutable after construction; no guard needed.
+  std::string path_;
+  int fd_;
+  // Guards the file's tail: interleaved appends from two threads would
   // corrupt records, and a load() racing an append() could read a torn
   // line. `mutable` so the logically-const load() can take it.
   mutable Mutex mutex_;
+  std::string line_ QRES_GUARDED_BY(mutex_);  // reused serialization buffer
+  // Bytes up to the end of the last whole record; a failed write is cut
+  // back to it. `torn_`: that cut itself failed and must be retried.
+  std::uint64_t size_ QRES_GUARDED_BY(mutex_) = 0;
+  bool torn_ QRES_GUARDED_BY(mutex_) = false;
   std::uint64_t appended_ QRES_GUARDED_BY(mutex_) = 0;
 };
 

@@ -1,5 +1,6 @@
 // Write-ahead journal and crash–restart durability of ResourceBroker
-// (DESIGN.md §9): serialization round trips, snapshot compaction,
+// (DESIGN.md §9): serialization round trips and pinned text, snapshot
+// compaction, FileJournal's torn-write cut-back and concurrent appends,
 // lost-tail crash model, bit-identical recovery, restart lease grace,
 // the bounded expiry log, and the lease boundary convention
 // (deadline <= now expires — expiry wins the exact-deadline tie, and
@@ -9,11 +10,23 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "broker/resource_broker.hpp"
@@ -59,6 +72,160 @@ TEST(Journal, ToLineParseLineRoundTripsSnapshots) {
   EXPECT_EQ(parsed.lease_deadlines, snap.lease_deadlines);
   EXPECT_EQ(parsed.history, snap.history);
   EXPECT_EQ(parsed.capacity, snap.capacity);
+}
+
+JournalRecord mutation(JournalOp op, double time, ResourceId resource,
+                       SessionId session, double amount, double lease) {
+  JournalRecord record;
+  record.op = op;
+  record.time = time;
+  record.resource = resource;
+  record.session = session;
+  record.amount = amount;
+  record.lease = lease;
+  return record;
+}
+
+JournalRecord pinned_snapshot() {
+  JournalRecord record;
+  record.op = JournalOp::kSnapshot;
+  record.time = -0.0;
+  record.resource = ResourceId{3};
+  record.name = "cpu";
+  record.capacity = 100.0;
+  record.alpha_window = 0.1;
+  record.history_keep = 1e300;
+  record.alpha_mode = AlphaMode::kReportBased;
+  record.expiry_log_enabled = true;
+  record.expiry_log_capacity = 64;
+  record.reserved = 1.0 / 3;
+  record.holdings = {{1, 10.0}, {2, 0.1}};
+  record.lease_deadlines = {{2, 25.5}};
+  record.history = {{0.0, 100.0}, {1.5, 5e-324}};
+  return record;
+}
+
+JournalRecord reply_record(std::uint64_t request_id, bool grouped,
+                           std::vector<std::uint8_t> bytes) {
+  JournalRecord record;
+  record.op = JournalOp::kReplyCache;
+  record.time = 2.0;
+  record.resource = ResourceId{5};
+  record.request_id = request_id;
+  record.grouped = grouped;
+  record.reply = std::move(bytes);
+  return record;
+}
+
+TEST(Journal, LineTextIsPinned) {
+  // The journal text is a persistent and wire format: replication ships
+  // it (JournalShip) and recovery compares snapshots by it. These lines
+  // are literal, so any change to the serializer's output shows here.
+  const ResourceId invalid;  // prints as 4294967295
+  EXPECT_EQ(to_line(pinned_snapshot()),
+            "snapshot -0 3 cpu 100 0.10000000000000001 "
+            "1.0000000000000001e+300 1 1 64 0.33333333333333331 2 1 10 2 "
+            "0.10000000000000001 1 2 25.5 2 0 100 1.5 "
+            "4.9406564584124654e-324");
+  EXPECT_EQ(to_line(mutation(JournalOp::kReserve, 0.1, invalid, SessionId{7},
+                             1.0 / 3, 0.0)),
+            "reserve 0.10000000000000001 4294967295 7 0.33333333333333331 0");
+  EXPECT_EQ(to_line(mutation(JournalOp::kReserveLeased, 1e300, ResourceId{0},
+                             SessionId{8}, 5e-324, -0.0)),
+            "reserve-leased 1.0000000000000001e+300 0 8 "
+            "4.9406564584124654e-324 -0");
+  EXPECT_EQ(to_line(mutation(JournalOp::kRelease, 12.0, ResourceId{1},
+                             SessionId{7}, 0.0, 0.0)),
+            "release 12 1 7 0 0");
+  EXPECT_EQ(to_line(mutation(JournalOp::kReleaseAmount, 12.5, ResourceId{1},
+                             SessionId{8}, 2.5, 0.0)),
+            "release-amount 12.5 1 8 2.5 0");
+  EXPECT_EQ(to_line(mutation(JournalOp::kRenewLease, 13.0, ResourceId{2},
+                             SessionId{9}, 0.0, 6.25)),
+            "renew-lease 13 2 9 0 6.25");
+  EXPECT_EQ(to_line(mutation(JournalOp::kExpire, 1e-7, ResourceId{2},
+                             SessionId{9}, 40.0, 0.0)),
+            "expire 9.9999999999999995e-08 2 9 40 0");
+  EXPECT_EQ(to_line(mutation(JournalOp::kRestart, 123456789.125,
+                             ResourceId{2}, SessionId{}, 0.0, 4.0)),
+            "restart 123456789.125 2 4294967295 0 4");
+  EXPECT_EQ(to_line(reply_record(std::numeric_limits<std::uint64_t>::max(),
+                                 true, {0x00, 0x7f, 0xde, 0xad, 0xff})),
+            "reply-cache 2 5 18446744073709551615 1 5 007fdeadff");
+  EXPECT_EQ(to_line(reply_record(1, false, {})), "reply-cache 2 5 1 0 0 ");
+}
+
+/// Bit-exact equality, so -0.0 and 0.0 differ.
+testing::AssertionResult same_bits(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+    return testing::AssertionSuccess();
+  return testing::AssertionFailure()
+         << std::bit_cast<std::uint64_t>(a) << " became "
+         << std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Journal, LineRoundTripsBitExact) {
+  // Every finite double, subnormals and signed zero included, must come
+  // back bit for bit: recovery compares brokers by exact equality.
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, 1.0 / 3, 1e300, -1e300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest()};
+  std::mt19937_64 rng(14);
+  while (values.size() < 60000) {
+    std::uint64_t bits = rng();
+    switch (values.size() % 4) {
+      case 0: bits &= ~(std::uint64_t{0x7ff} << 52); break;  // subnormal
+      case 1: bits = (bits >> 40) << 40; break;  // short mantissa
+      default: break;
+    }
+    const double x = std::bit_cast<double>(bits);
+    if (std::isfinite(x)) values.push_back(x);
+  }
+  for (std::size_t i = 0; i + 2 < values.size(); i += 3) {
+    const JournalRecord record =
+        mutation(JournalOp::kReserveLeased, values[i], ResourceId{1},
+                 SessionId{2}, values[i + 1], values[i + 2]);
+    const std::string line = to_line(record);
+    const JournalRecord parsed = parse_line(line);
+    ASSERT_TRUE(same_bits(record.time, parsed.time)) << line;
+    ASSERT_TRUE(same_bits(record.amount, parsed.amount)) << line;
+    ASSERT_TRUE(same_bits(record.lease, parsed.lease)) << line;
+  }
+  for (std::size_t i = 0; i + 9 < values.size(); i += 10) {
+    JournalRecord record = pinned_snapshot();
+    record.time = values[i];
+    record.capacity = values[i + 1];
+    record.alpha_window = values[i + 2];
+    record.history_keep = values[i + 3];
+    record.reserved = values[i + 4];
+    record.holdings = {{1, values[i + 5]}};
+    record.lease_deadlines = {{1, values[i + 6]}};
+    record.history = {{values[i + 7], values[i + 8]}, {1.0, values[i + 9]}};
+    const std::string line = to_line(record);
+    const JournalRecord parsed = parse_line(line);
+    ASSERT_TRUE(same_bits(record.time, parsed.time)) << line;
+    ASSERT_TRUE(same_bits(record.capacity, parsed.capacity)) << line;
+    ASSERT_TRUE(same_bits(record.alpha_window, parsed.alpha_window)) << line;
+    ASSERT_TRUE(same_bits(record.history_keep, parsed.history_keep)) << line;
+    ASSERT_TRUE(same_bits(record.reserved, parsed.reserved)) << line;
+    ASSERT_EQ(parsed.holdings.size(), 1u) << line;
+    ASSERT_TRUE(same_bits(record.holdings[0].second,
+                          parsed.holdings[0].second)) << line;
+    ASSERT_EQ(parsed.lease_deadlines.size(), 1u) << line;
+    ASSERT_TRUE(same_bits(record.lease_deadlines[0].second,
+                          parsed.lease_deadlines[0].second)) << line;
+    ASSERT_EQ(parsed.history.size(), 2u) << line;
+    ASSERT_TRUE(same_bits(record.history[0].first, parsed.history[0].first))
+        << line;
+    ASSERT_TRUE(same_bits(record.history[0].second,
+                          parsed.history[0].second)) << line;
+    ASSERT_TRUE(same_bits(record.history[1].second,
+                          parsed.history[1].second)) << line;
+  }
 }
 
 TEST(Journal, ParseLineRejectsMalformedInput) {
@@ -320,6 +487,101 @@ TEST(Journal, ReopenCutsATornTailBeforeAppending) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, ShortWriteLeavesNoTornBytes) {
+  // A write the kernel cuts short (here: a file-size limit) must leave no
+  // partial line behind, or the next append is glued onto it and the
+  // whole journal stops parsing. The limit and the SIGXFSZ disposition
+  // are process-wide, so the appends run in a forked child.
+  const std::string path = "test_journal_short_write.wal";
+  const JournalRecord first = mutation(JournalOp::kReserve, 1.0, rid, s1,
+                                       10.0, 0.0);
+  const JournalRecord refused = mutation(JournalOp::kRelease, 1.5, rid, s3,
+                                         9.0, 0.0);
+  const JournalRecord third = mutation(JournalOp::kReserve, 2.0, rid, s2,
+                                       20.0, 0.0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int code = 0;
+    {
+      FileJournal journal(path);
+      struct stat info {};
+      rlimit saved {};
+      if (journal.append(first) != JournalStatus::kOk) code = 1;
+      if (code == 0 && (::stat(path.c_str(), &info) != 0 ||
+                        ::getrlimit(RLIMIT_FSIZE, &saved) != 0))
+        code = 2;
+      if (code == 0) {
+        ::signal(SIGXFSZ, SIG_IGN);
+        rlimit low = saved;
+        low.rlim_cur = static_cast<rlim_t>(info.st_size) + 10;
+        if (::setrlimit(RLIMIT_FSIZE, &low) != 0) code = 3;
+      }
+      if (code == 0 && journal.append(refused) == JournalStatus::kOk)
+        code = 4;
+      if (code == 0 && ::setrlimit(RLIMIT_FSIZE, &saved) != 0) code = 5;
+      if (code == 0 && journal.append(third) != JournalStatus::kOk) code = 6;
+      if (code == 0 && journal.appended() != 2) code = 7;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  std::string content;
+  {
+    std::ifstream file(path);
+    content.assign(std::istreambuf_iterator<char>(file),
+                   std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(content, to_line(first) + "\n" + to_line(third) + "\n");
+  std::vector<JournalRecord> records;
+  ASSERT_NO_THROW(records = FileJournal::read_file(path));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(to_line(records[0]), to_line(first));
+  EXPECT_EQ(to_line(records[1]), to_line(third));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, FileJournalConcurrentAppendsStayWholeLines) {
+  // Several brokers on a ThreadPool may share one FileJournal: appends
+  // racing on it must land as whole, distinct lines.
+  const std::string path = "test_journal_concurrent.wal";
+  constexpr std::uint32_t kWorkers = 4;
+  constexpr std::uint32_t kRecordsPerWorker = 500;
+  std::vector<std::string> expected;
+  for (std::uint32_t w = 0; w < kWorkers; ++w)
+    for (std::uint32_t i = 0; i < kRecordsPerWorker; ++i)
+      expected.push_back(to_line(mutation(
+          JournalOp::kReserveLeased, i / 3.0, ResourceId{w}, SessionId{i},
+          1.0 + i / 7.0, 5.0)));
+  {
+    FileJournal journal(path);
+    std::vector<std::thread> workers;
+    for (std::uint32_t w = 0; w < kWorkers; ++w)
+      workers.emplace_back([&journal, w] {
+        for (std::uint32_t i = 0; i < kRecordsPerWorker; ++i)
+          EXPECT_EQ(journal.append(mutation(JournalOp::kReserveLeased,
+                                            i / 3.0, ResourceId{w},
+                                            SessionId{i}, 1.0 + i / 7.0,
+                                            5.0)),
+                    JournalStatus::kOk);
+      });
+    for (std::thread& worker : workers) worker.join();
+    EXPECT_EQ(journal.appended(), kWorkers * kRecordsPerWorker);
+  }
+  const std::vector<JournalRecord> records = FileJournal::read_file(path);
+  ASSERT_EQ(records.size(), kWorkers * kRecordsPerWorker);
+  std::vector<std::string> lines;
+  for (const JournalRecord& record : records)
+    lines.push_back(to_line(record));
+  std::sort(lines.begin(), lines.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(lines, expected);
+  std::remove(path.c_str());
+}
+
 // --- Sink I/O failure injection --------------------------------------------
 
 /// Sink that refuses appends on command: delegates to a MemoryJournal
@@ -420,7 +682,6 @@ TEST(Journal, RefusedCompactionSnapshotRetriesOnTheNextMutation) {
 
 TEST(Journal, JournalStatusNamesAreStable) {
   EXPECT_STREQ(to_string(JournalStatus::kOk), "ok");
-  EXPECT_STREQ(to_string(JournalStatus::kOpenFailed), "open-failed");
   EXPECT_STREQ(to_string(JournalStatus::kWriteFailed), "write-failed");
 }
 
