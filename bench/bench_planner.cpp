@@ -330,6 +330,21 @@ BENCHMARK(BM_BatchEstablish)
     ->Arg(8)
     ->UseRealTime();
 
+// Hand-off cost of one flash-sized batch: n trivial iterations at grain
+// 1 across 2 workers, so the time is the pool's fork and join, not the
+// body.
+void BM_ParallelForHandoff(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool(2);
+  std::vector<std::uint64_t> out(n, 0);
+  for (auto _ : state) {
+    pool.parallel_for(n, [&](std::size_t i) { out[i] += i; }, /*grain=*/1);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ParallelForHandoff)->Arg(60)->UseRealTime();
+
 }  // namespace
 }  // namespace qres
 

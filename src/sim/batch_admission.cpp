@@ -58,7 +58,7 @@ std::vector<EstablishResult> establish_batch(
         snapshots[i], planner, slot_rng, requests[i].scale);
   };
   if (options.pool)
-    options.pool->parallel_for(requests.size(), plan_one, options.grain);
+    options.pool->parallel_for(requests.size(), plan_one, /*grain=*/1);
   else
     for (std::size_t i = 0; i < requests.size(); ++i) plan_one(i);
 

@@ -46,8 +46,6 @@ struct BatchOptions {
   /// Pool the planning phase fans across; null plans inline (the
   /// reference order the differential fuzz compares against).
   ThreadPool* pool = nullptr;
-  /// Requests per parallel_for chunk (0 = the pool's automatic grain).
-  std::size_t grain = 1;
   /// On a kAdmission commit conflict (an earlier batch member took the
   /// capacity this plan assumed), retry once sequentially against a
   /// fresh snapshot, like a staleness replan. The retry consumes a

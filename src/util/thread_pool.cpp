@@ -12,6 +12,9 @@ namespace {
 // entry points detect re-entry from their own workers (which would
 // deadlock: the worker would wait for tasks only it can run).
 thread_local const ThreadPool* current_worker_pool = nullptr;
+// Pool whose parallel_for the current thread is running chunks of as the
+// caller; a parallel_for nested in such a chunk runs inline.
+thread_local const ThreadPool* current_caller_pool = nullptr;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() const noexcept {
@@ -64,22 +67,40 @@ void ThreadPool::run_chunks(
     const std::function<void(std::size_t, std::size_t)>& chunk) {
   QRES_REQUIRE(chunk != nullptr, "ThreadPool::parallel_for: null function");
   QRES_REQUIRE(grain > 0, "ThreadPool::parallel_for: zero grain");
+  if (on_worker_thread() || current_caller_pool == this) {
+    chunk(0, n);
+    return;
+  }
+  // Clamped so the cursor, which overshoots n by at most one grain per
+  // participant, cannot wrap.
+  grain = std::min(grain, n);
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   Mutex error_mutex;
   std::exception_ptr first_error;  // written/read under error_mutex only
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    const std::size_t end = std::min(begin + grain, n);
-    submit([&, begin, end] {
-      if (failed.load(std::memory_order_relaxed)) return;
+  auto drain = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t begin =
+          next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) return;
       try {
-        chunk(begin, end);
+        chunk(begin, begin + std::min(grain, n - begin));
       } catch (...) {
         MutexLock guard(error_mutex);
         if (!first_error) first_error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
-    });
-  }
+    }
+  };
+  // One helper per worker at most, and none for the caller's own chunk.
+  const std::size_t helpers = std::min(worker_count(), (n - 1) / grain);
+  for (std::size_t h = 0; h < helpers; ++h) submit([&drain] { drain(); });
+  const ThreadPool* const outer = current_caller_pool;
+  current_caller_pool = this;
+  drain();
+  current_caller_pool = outer;
+  // Joins the helpers (one that starts after the cursor is spent returns
+  // at once) before the state they share goes out of scope.
   wait();
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -1,6 +1,7 @@
 // A minimal fixed-size thread pool for embarrassingly parallel work:
-// running independent simulation replicas concurrently and fanning the
-// planner's pass I / batch admission across workers.
+// running independent simulation replicas concurrently and fanning a
+// batch of same-tick admission requests (sim/batch_admission) across
+// workers.
 //
 // Determinism contract: callers assign each task its own pre-derived RNG
 // stream and an output slot indexed by task id, so results are identical
@@ -41,32 +42,24 @@ class ThreadPool {
   /// worker threads (throws ContractViolation instead of deadlocking).
   void wait();
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits. Indices are
-  /// dispatched in contiguous chunks of `grain` (0 = automatic: roughly
-  /// four chunks per worker), and the callable is invoked directly inside
-  /// each chunk's loop — no per-index type erasure or allocation, which
-  /// matters on the planner hot path (the type-erased per-index dispatch
-  /// this replaces cost one std::function call and one queue round trip
-  /// per iteration).
+  /// Runs fn(i) for i in [0, n) and waits. The calling thread and up to
+  /// worker_count() helper tasks claim contiguous chunks of `grain`
+  /// indices (0 = automatic: roughly four chunks per worker) from one
+  /// shared atomic cursor, and the callable is invoked directly inside
+  /// each chunk's loop — no per-index or per-chunk type erasure,
+  /// allocation or queue round trip.
   ///
   /// Exceptions from iterations propagate as a single well-defined error:
   /// the first exception captured is rethrown in the caller after every
-  /// chunk has finished; subsequent exceptions are swallowed (the batch
-  /// is already poisoned, and chunks not yet started when a failure is
-  /// flagged are skipped). When called from one of this pool's own worker
-  /// threads (a nested parallel_for inside a task) the iterations run
-  /// inline on the calling thread, preserving completion semantics
-  /// without deadlocking.
+  /// claimed chunk has finished; subsequent exceptions are swallowed (the
+  /// batch is already poisoned, and chunks not yet claimed when a failure
+  /// is flagged are skipped). A nested parallel_for on the same pool —
+  /// from a worker, or from a chunk the calling thread is running — runs
+  /// its iterations inline on that thread, preserving completion
+  /// semantics without deadlocking.
   template <typename Fn>
   void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 0) {
     if (n == 0) return;
-    if (on_worker_thread()) {
-      // Nested invocation from a task: submitting and waiting would
-      // deadlock (this worker would block in wait() while occupying the
-      // slot its sub-tasks need). Run the iterations inline instead.
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
     if (grain == 0)
       grain = std::max<std::size_t>(1, n / (4 * worker_count()));
     run_chunks(n, grain, [&fn](std::size_t begin, std::size_t end) {
@@ -78,10 +71,10 @@ class ThreadPool {
   bool on_worker_thread() const noexcept;
 
  private:
-  /// Type-erased chunk dispatcher behind parallel_for: submits
-  /// ceil(n/grain) tasks running chunk(begin, end), waits, and rethrows
-  /// the first captured exception. One std::function indirection per
-  /// chunk, not per index.
+  /// Type-erased fork-join behind parallel_for: runs chunk(begin, end)
+  /// over [0, n) in `grain`-sized pieces claimed from a shared cursor by
+  /// the caller and its helpers, waits, and rethrows the first captured
+  /// exception. Runs chunk(0, n) inline when nested.
   void run_chunks(std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& chunk);
 

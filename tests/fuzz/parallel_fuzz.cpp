@@ -152,12 +152,8 @@ std::string batch_differential(std::uint64_t seed, ParallelFuzzStats* stats) {
   const double now = shape.uniform(0.0, 50.0);
 
   // Reference lane: no pool. Comparison lanes: 1-worker and 4-worker
-  // pools with different chunking. Identical seeds everywhere else.
-  struct Lane {
-    ThreadPool* pool;
-    std::size_t grain;
-  };
-  const Lane lanes[] = {{nullptr, 1}, {&pool_with(1), 1}, {&pool_with(4), 0}};
+  // pools. Identical seeds everywhere else.
+  ThreadPool* const lanes[] = {nullptr, &pool_with(1), &pool_with(4)};
 
   std::string reference;
   std::vector<std::string> reference_brokers;
@@ -183,8 +179,7 @@ std::string batch_differential(std::uint64_t seed, ParallelFuzzStats* stats) {
     }
 
     BatchOptions options;
-    options.pool = lanes[lane].pool;
-    options.grain = lanes[lane].grain;
+    options.pool = lanes[lane];
     options.replan_on_conflict = replan;
     Rng batch_rng(batch_seed);
     const auto results =
@@ -209,9 +204,7 @@ std::string batch_differential(std::uint64_t seed, ParallelFuzzStats* stats) {
     }
     const std::string tag =
         "batch lane " + std::to_string(lane) + " (pool=" +
-        std::to_string(lanes[lane].pool ? lanes[lane].pool->worker_count()
-                                        : 0) +
-        "w)";
+        std::to_string(lanes[lane]->worker_count()) + "w)";
     if (summary != reference)
       return tag + " results diverge:\n got: " + summary +
              " want: " + reference;

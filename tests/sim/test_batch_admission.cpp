@@ -86,8 +86,8 @@ TEST(EstablishBatch, AdmitsIndependentRequestsLikeSequentialEstablish) {
 TEST(EstablishBatch, ResultsAreIdenticalForEveryWorkerCount) {
   ThreadPool one(1), four(4);
   BatchOptions inline_opts;                      // pool == nullptr
-  BatchOptions one_opts{&one, 1, true};
-  BatchOptions four_opts{&four, 0, true};        // automatic grain
+  BatchOptions one_opts{&one, true};
+  BatchOptions four_opts{&four, true};
   std::string reference;
   double cpu_left = -1.0, bw_left = -1.0;
   for (const BatchOptions* opts : {&inline_opts, &one_opts, &four_opts}) {

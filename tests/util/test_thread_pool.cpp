@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -139,9 +143,9 @@ TEST(ThreadPool, WaitFromAnotherPoolsWorkerIsAllowed) {
 
 TEST(ThreadPool, ParallelForCoversAllIndicesForEveryGrain) {
   // Regression: parallel_for used to wrap every index in its own
-  // std::function; it now dispatches contiguous chunks. Any grain —
-  // automatic, degenerate, uneven, or larger than n — must cover each
-  // index exactly once.
+  // std::function; it now claims contiguous chunks from a shared cursor.
+  // Any grain — automatic, degenerate, uneven, or larger than n — must
+  // cover each index exactly once.
   ThreadPool pool(3);
   for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
                                   std::size_t{3}, std::size_t{1000}}) {
@@ -187,6 +191,117 @@ TEST(ThreadPool, ParallelForPropagatesExactlyOneException) {
   EXPECT_GE(ran.load(), 1);
   EXPECT_LE(ran.load(), 64);
   // The pool stays usable after a failed parallel_for.
+  std::atomic<int> ok{0};
+  pool.parallel_for(8, [&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 8);
+}
+
+// Occupies a pool's only worker until release() or a 5 s deadline, so a
+// parallel_for issued meanwhile can make progress only on its caller.
+// The deadline turns a pool whose caller never runs chunks into a test
+// failure instead of a hang.
+class BusyWorker {
+ public:
+  explicit BusyWorker(ThreadPool& pool) {
+    pool.submit([this] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      started_ = true;
+      changed_.notify_all();
+      timed_out_ = !changed_.wait_for(lock, std::chrono::seconds(5),
+                                      [this] { return released_; });
+    });
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return started_; });
+  }
+
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+  /// True when the worker gave up waiting for release(). Read after the
+  /// pool has joined the task.
+  bool timed_out() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return timed_out_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool started_ = false;
+  bool released_ = false;
+  bool timed_out_ = false;
+};
+
+TEST(ThreadPool, ParallelForCallerRunsChunks) {
+  // The calling thread claims chunks alongside the workers, so a
+  // parallel_for completes even while every worker is busy elsewhere.
+  ThreadPool pool(1);
+  BusyWorker busy(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::vector<int> hits(16, 0);
+  pool.parallel_for(
+      hits.size(),
+      [&](std::size_t i) {
+        hits[i] += 1;
+        if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+        busy.release();
+      },
+      /*grain=*/1);
+  EXPECT_GE(on_caller.load(), 1);
+  EXPECT_FALSE(busy.timed_out());
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, NestedParallelForOnCallerRunsInline) {
+  // A parallel_for nested in a chunk the caller runs must not fork again:
+  // its wait() would block on the busy worker, which is released only by
+  // the last leaf. Every nested level runs inline on the caller instead.
+  ThreadPool pool(1);
+  BusyWorker busy(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> leaves{0};
+  std::atomic<int> off_caller{0};
+  pool.parallel_for(
+      4,
+      [&](std::size_t) {
+        pool.parallel_for(
+            3,
+            [&](std::size_t) {
+              pool.parallel_for(
+                  5,
+                  [&](std::size_t) {
+                    if (std::this_thread::get_id() != caller)
+                      off_caller.fetch_add(1);
+                    if (leaves.fetch_add(1) + 1 == 60) busy.release();
+                  },
+                  /*grain=*/1);
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(leaves.load(), 60);
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_FALSE(busy.timed_out());
+}
+
+TEST(ThreadPool, ExceptionFromCallerChunkPropagates) {
+  ThreadPool pool(1);
+  BusyWorker busy(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_THROW(pool.parallel_for(
+                   8,
+                   [&](std::size_t) {
+                     busy.release();
+                     if (std::this_thread::get_id() == caller)
+                       throw std::runtime_error("caller boom");
+                   },
+                   /*grain=*/1),
+               std::runtime_error);
+  // The pool stays usable after the caller's chunk threw.
   std::atomic<int> ok{0};
   pool.parallel_for(8, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 8);
