@@ -16,6 +16,11 @@
 // appended to a MemoryJournal or a FileJournal (no fsync), and
 // serialized by to_line alone.
 //
+// BM_BrokerObserve/<history_keep> times one time-weighted observe at the
+// latest time against a history of one record per 0.1 TU kept for
+// history_keep TU; the 3 TU alpha window stays the same, so the rows show
+// whether an observe pays for the kept history or only for the window.
+//
 // The batch benchmarks report plans_per_sec (a rate counter suitable
 // for BENCH_*.json) across worker counts 1..8 on the figure-9 paper
 // scenario. Single-CPU machines still run them (the determinism
@@ -33,6 +38,7 @@
 #include <vector>
 
 #include "broker/journal.hpp"
+#include "broker/resource_broker.hpp"
 #include "core/planner.hpp"
 #include "core/random_planner.hpp"
 #include "scenario/paper_scenario.hpp"
@@ -281,6 +287,35 @@ void BM_JournalToLine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JournalToLine);
+
+// ---------------------------------------------------------------------
+// Broker observation: one time-weighted observe at the latest time, with
+// the kept history (not the alpha window) as the argument.
+
+void BM_BrokerObserve(benchmark::State& state) {
+  const double keep = static_cast<double>(state.range(0));
+  ResourceBroker broker(ResourceId{0}, "link", 100.0, /*alpha_window=*/3.0,
+                        keep);
+  // One availability change per 0.1 TU, alternating reserve and release,
+  // until the history spans the whole keep horizon.
+  const auto records = static_cast<int>(keep * 10.0);
+  double now = 0.0;
+  for (int i = 1; i <= records; ++i) {
+    now = static_cast<double>(i) / 10.0;
+    if (i % 2 == 1) {
+      if (!broker.reserve(now, SessionId{1}, 1.0))
+        state.SkipWithError("reserve refused");
+    } else {
+      broker.release(now, SessionId{1});
+    }
+  }
+  for (auto _ : state) {
+    const ResourceObservation obs = broker.observe(now);
+    benchmark::DoNotOptimize(obs);
+  }
+  state.counters["history"] = static_cast<double>(broker.history().size());
+}
+BENCHMARK(BM_BrokerObserve)->Arg(64)->Arg(1024);
 
 // ---------------------------------------------------------------------
 // Batch admission scaling: one batch of same-tick arrivals per

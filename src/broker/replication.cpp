@@ -291,7 +291,7 @@ void ReplicatedBroker::after_mutation(double now) {
     // qres-lint: allow(unchecked-status): releases/renews tolerate a failed
     // ship — losing one under-reports free capacity, which reconciliation
     // repairs; grants are confirmed separately in confirm_grant
-    flush(now);
+    (void)flush(now);
   else
     after_async_mutation(now);
 }
@@ -309,14 +309,14 @@ void ReplicatedBroker::after_async_mutation(double now) {
   if (!any) return;
   // qres-lint: allow(unchecked-status): the lag-bound ship is opportunistic;
   // async mode promises at most max_async_lag lost records, not zero
-  if (ship_next_ - best_acked >= config_.max_async_lag) flush(now);
+  if (ship_next_ - best_acked >= config_.max_async_lag) (void)flush(now);
 }
 
 bool ReplicatedBroker::confirm_grant(Replica& p, double now,
                                      SessionId session, double amount) {
   // qres-lint: allow(unchecked-status): quorum_met on the next line is the
   // authoritative confirmation check, not flush's aggregate verdict
-  flush(now);
+  (void)flush(now);
   if (quorum_met(ship_next_)) {
     ++stats_.grants_confirmed;
     return true;
@@ -328,7 +328,7 @@ bool ReplicatedBroker::confirm_grant(Replica& p, double now,
   p.broker->release_amount(now, session, amount);
   // qres-lint: allow(unchecked-status): the caller already sees a refusal;
   // the compensating release ships whenever the standbys are next reachable
-  flush(now);  // best effort; the compensation ships like any record
+  (void)flush(now);  // best effort; the compensation ships like any record
   return false;
 }
 

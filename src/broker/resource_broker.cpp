@@ -44,14 +44,21 @@ double ResourceBroker::windowed_average(double t) const {
   double start = t - alpha_window_;
   const double first_time = history_.front().first;
   if (start < first_time) start = std::min(first_time, t);
-  // Integrate the piecewise-constant availability over [start, t].
+  // Integrate the piecewise-constant availability over [start, t]. The
+  // walk begins at the first sample after `start` (its predecessor is the
+  // value at `start`), so an observe costs O(log H + W), not O(H).
+  auto it = std::upper_bound(
+      history_.begin(), history_.end(), start,
+      [](double time, const std::pair<double, double>& e) {
+        return time < e.first;
+      });
   double integral = 0.0;
   double covered = 0.0;
   double prev_time = start;
-  double prev_value = available_at(start);
-  for (const auto& [time, value] : history_) {
-    if (time <= start) continue;
-    if (time > t) break;
+  double prev_value =
+      it == history_.begin() ? history_.front().second : std::prev(it)->second;
+  for (; it != history_.end() && it->first <= t; ++it) {
+    const auto& [time, value] = *it;
     integral += prev_value * (time - prev_time);
     covered += time - prev_time;
     prev_time = time;

@@ -9,15 +9,15 @@
 // schedule_in() use lane 0, preserving the historical "ties run in
 // scheduling order" behavior exactly.
 //
-// Threading: schedule / schedule_in / schedule_lane / now / pending /
-// empty may be called from any thread (batch admission posts completion
-// events from ThreadPool workers); step / run_until / run_all must only
-// be called from the single driver thread that owns the simulation. The
-// lane mechanism is what keeps multi-producer scheduling deterministic:
-// give each producer a pre-assigned lane (batch admission uses
-// 1 + arrival slot) and the pop order no longer depends on thread
-// interleaving. Actions run outside the queue lock, so an action may
-// freely schedule further events.
+// Threading: step / run_until / run_all must only be called from the
+// single driver thread that owns the simulation. schedule / schedule_in /
+// schedule_lane / now / pending / empty take the queue mutex and so are
+// safe from any thread, but no caller needs that today: batch admission
+// schedules its completions on the driver thread after establish_batch
+// has returned, and pool workers never schedule. Lanes fix the pop order
+// of same-time events independently of scheduling order (batch admission
+// uses 1 + arrival slot). Actions run outside the queue lock, so an
+// action may freely schedule further events.
 #pragma once
 
 #include <cstdint>

@@ -131,9 +131,10 @@ void BatchAdmissionQueue::drain(double time) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].success) ++admitted_;
     if (!batch[i].done) continue;
-    // Completions are events of their own, on lane 1 + arrival slot:
-    // the EventQueue's (time, lane, seq) tie-break pins their pop order
-    // to arrival order no matter which thread scheduled what first.
+    // Completions are events of their own, scheduled here on the driver
+    // thread once establish_batch has returned (pool workers never
+    // schedule), on lane 1 + arrival slot: the EventQueue's (time, lane,
+    // seq) tie-break pins their pop order to arrival order.
     queue_->schedule_lane(
         static_cast<std::uint32_t>(1 + i), time,
         [done = std::move(batch[i].done),

@@ -64,9 +64,9 @@ std::vector<EstablishResult> establish_batch(
 /// submit() buckets requests by timestamp; when the EventQueue reaches a
 /// bucket's time, the whole bucket establishes via establish_batch and
 /// each completion callback fires as its own event at the same time, in
-/// arrival order — completions are posted on lane 1 + arrival slot, so
-/// the pop order is fixed by the EventQueue's lane tie-break rather than
-/// by which worker thread finished first.
+/// arrival order — the driver thread posts them on lane 1 + arrival slot
+/// after the batch returns, so the EventQueue's lane tie-break fixes the
+/// pop order whichever worker planned which request.
 class BatchAdmissionQueue {
  public:
   using Completion = std::function<void(const EstablishResult&)>;

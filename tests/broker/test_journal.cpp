@@ -283,8 +283,9 @@ TEST(Journal, CompactionRetainsReplyCacheRecords) {
   reply.request_id = 77;
   reply.grouped = true;
   reply.reply = {0xde, 0xad};
-  journal.append(reply);
-  journal.append(broker.snapshot(2.0));  // the compaction barrier
+  EXPECT_EQ(journal.append(reply), JournalStatus::kOk);
+  // The compaction barrier.
+  EXPECT_EQ(journal.append(broker.snapshot(2.0)), JournalStatus::kOk);
 
   int reply_records = 0;
   for (const JournalRecord& record : journal.records())
@@ -311,9 +312,9 @@ TEST(Journal, CompactionBoundsRetainedReplyRecords) {
     reply.op = JournalOp::kReplyCache;
     reply.resource = rid;
     reply.request_id = id;
-    journal.append(reply);
+    EXPECT_EQ(journal.append(reply), JournalStatus::kOk);
   }
-  journal.append(broker.snapshot(1.0));
+  EXPECT_EQ(journal.append(broker.snapshot(1.0)), JournalStatus::kOk);
   // Only the newest two reply records survive the compaction.
   std::vector<std::uint64_t> kept;
   for (const JournalRecord& record : journal.records())
@@ -332,7 +333,8 @@ TEST(Journal, DropTailKeepsGroupedReplyAtomicWithItsMutation) {
   reply.resource = rid;
   reply.request_id = 5;
   reply.grouped = true;
-  journal.append(reply);  // snapshot, kReserve, grouped kReplyCache
+  // Journal now: snapshot, kReserve, grouped kReplyCache.
+  EXPECT_EQ(journal.append(reply), JournalStatus::kOk);
 
   // A tail budget of 1 would split the group: the whole pair is kept
   // (keeping more of the tail is always a legal crash outcome).

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace qres {
 namespace {
 
@@ -213,6 +221,119 @@ TEST(ResourceBroker, HistoryPruningKeepsBaseline) {
   // ...but queries before the kept window still get a sane baseline (the
   // newest pruned value).
   EXPECT_GT(broker.available_at(50.0), 0.0);
+}
+
+// The time-weighted average as it was computed before observe started the
+// integral at the window: a linear walk from the head of the history. Kept
+// verbatim as the oracle the windowed walk must match bit for bit.
+double linear_walk_average(
+    const std::vector<std::pair<double, double>>& history_,
+    double alpha_window_, double t) {
+  auto available_at = [&](double when) {
+    auto it = std::upper_bound(
+        history_.begin(), history_.end(), when,
+        [](double time, const std::pair<double, double>& e) {
+          return time < e.first;
+        });
+    if (it == history_.begin()) return history_.front().second;
+    return std::prev(it)->second;
+  };
+  double start = t - alpha_window_;
+  const double first_time = history_.front().first;
+  if (start < first_time) start = std::min(first_time, t);
+  double integral = 0.0;
+  double covered = 0.0;
+  double prev_time = start;
+  double prev_value = available_at(start);
+  for (const auto& [time, value] : history_) {
+    if (time <= start) continue;
+    if (time > t) break;
+    integral += prev_value * (time - prev_time);
+    covered += time - prev_time;
+    prev_time = time;
+    prev_value = value;
+  }
+  integral += prev_value * (t - prev_time);
+  covered += t - prev_time;
+  if (covered <= 0.0) return prev_value;
+  return integral / covered;
+}
+
+TEST(ResourceBroker, WindowedAlphaMatchesLinearWalkBitForBit) {
+  // Seeded random histories. Half of them live on a quarter-TU grid with a
+  // window that is a whole number of quarters, so t - window lands exactly
+  // on recorded samples. A short keep horizon prunes after most mutations.
+  int exact_start = 0, exact_t = 0, before_head = 0, stale = 0;
+  int overwrites = 0, after_prune = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const bool grid = seed % 2 == 0;
+    const double quantum = grid ? 0.25 : 0.0;
+    auto snap = [&](double x) {
+      return grid ? std::floor(x / quantum) * quantum : x;
+    };
+    const double window = grid ? 0.25 * static_cast<double>(
+                                            rng.uniform_int(1, 16))
+                               : rng.uniform(0.5, 4.0);
+    const double keep = window + snap(rng.uniform(0.0, 6.0));
+    ResourceBroker broker(rid, "cpu", 100.0, window, keep);
+    double now = 0.0;
+    auto check = [&](double t) {
+      const auto& history = broker.history();
+      const double avail = broker.available_at(t);
+      const double avg = linear_walk_average(history, window, t);
+      const double expected = avg > 0.0 ? avail / avg : 1.0;
+      const ResourceObservation obs = broker.observe(t);
+      ASSERT_EQ(obs.available, avail);
+      ASSERT_EQ(obs.alpha, expected)
+          << "seed " << seed << " t=" << t << " window=" << window;
+      for (const auto& entry : history) {
+        if (entry.first == t - window) ++exact_start;
+        if (entry.first == t) ++exact_t;
+      }
+      if (t < history.front().first) ++before_head;
+      if (t < history.back().first) ++stale;
+    };
+    for (int step = 0; step < 120; ++step) {
+      const bool same_time = rng.bernoulli(0.2);
+      if (!same_time) now += grid ? quantum * static_cast<double>(
+                                                  rng.uniform_int(1, 6))
+                                  : rng.uniform(0.0, 1.5);
+      const double avail_before = broker.available();
+      const double head_before = broker.history().front().first;
+      const double tail_before = broker.history().back().first;
+      const SessionId session{
+          1 + static_cast<std::uint32_t>(rng.uniform_int(0, 7))};
+      const int op = rng.uniform_int(0, 2);
+      if (op == 0)
+        (void)broker.reserve(now, session, rng.uniform(0.0, 40.0));
+      else if (op == 1)
+        broker.release(now, session);
+      else
+        broker.release_amount(now, session, rng.uniform(0.0, 20.0));
+      const auto& history = broker.history();
+      if (tail_before == now && broker.available() != avail_before)
+        ++overwrites;
+      if (history.front().first != head_before) ++after_prune;
+      // The latest time, every recorded sample, one window past each
+      // sample, a time before the kept head and a random stale time.
+      ASSERT_NO_FATAL_FAILURE(check(now));
+      for (const auto& [time, value] : history) {
+        ASSERT_NO_FATAL_FAILURE(check(time));
+        ASSERT_NO_FATAL_FAILURE(check(time + window));
+      }
+      ASSERT_NO_FATAL_FAILURE(check(history.front().first - 1.0));
+      ASSERT_NO_FATAL_FAILURE(
+          check(snap(rng.uniform(history.front().first, now + 1.0))));
+    }
+  }
+  // Every edge the bit-identity argument rests on was exercised.
+  EXPECT_GT(exact_start, 0);
+  EXPECT_GT(exact_t, 0);
+  EXPECT_GT(before_head, 0);
+  EXPECT_GT(stale, 0);
+  EXPECT_GT(overwrites, 0);
+  EXPECT_GT(after_prune, 0);
 }
 
 TEST(ResourceBroker, FractionalAmountsBalanceOut) {

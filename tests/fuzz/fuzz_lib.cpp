@@ -583,10 +583,21 @@ std::string check_broker(Rng& rng, int steps) {
       }
       const double expected_alpha =
           expected_avg > 0.0 ? expected_avail / expected_avg : 1.0;
+      // The trace splits the integral at steps that recorded nothing, so
+      // it matches only to rounding; the same walk over the broker's own
+      // kept history must match bit for bit.
       if (std::abs(obs.alpha - expected_alpha) > 1e-9)
         return "broker: time-weighted alpha " + str(obs.alpha) +
                " != reference " + str(expected_alpha) + " at t=" + str(t) +
                " (window=" + str(window) + ")";
+      const double kept_avg =
+          reference_windowed_average(broker.history(), t, window);
+      const double kept_alpha =
+          kept_avg > 0.0 ? obs.available / kept_avg : 1.0;
+      if (obs.alpha != kept_alpha)
+        return "broker: time-weighted alpha " + str(obs.alpha) +
+               " != linear walk over the kept history " + str(kept_alpha) +
+               " at t=" + str(t) + " (window=" + str(window) + ")";
       // Report-based alpha (eq. 5) against its own model, observed at the
       // protocol's non-decreasing times.
       const ResourceObservation rb = report_broker.observe(now);

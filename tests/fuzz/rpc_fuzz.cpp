@@ -47,6 +47,8 @@ double random_field(Rng& rng) {
   }
 }
 
+constexpr int kLastType = static_cast<int>(rpc::MessageType::kRedirectReply);
+
 rpc::RequestHeader random_header(Rng& rng) {
   rpc::RequestHeader header;
   header.request_id = rng();
@@ -56,7 +58,8 @@ rpc::RequestHeader random_header(Rng& rng) {
 }
 
 rpc::RpcCode random_code(Rng& rng) {
-  return static_cast<rpc::RpcCode>(rng.uniform_int(0, 5));
+  return static_cast<rpc::RpcCode>(
+      rng.uniform_int(0, static_cast<int>(rpc::RpcCode::kNotPrimary)));
 }
 
 std::vector<std::uint32_t> random_route(Rng& rng) {
@@ -66,7 +69,19 @@ std::vector<std::uint32_t> random_route(Rng& rng) {
   return route;
 }
 
-/// One random message of the given wire type (1..13).
+/// Arbitrary bytes standing in for serialized journal records: the codec
+/// ships them opaquely, so embedded NULs and high bytes must survive.
+std::vector<std::string> random_records(Rng& rng) {
+  std::vector<std::string> records(
+      static_cast<std::size_t>(rng.uniform_int(0, 4)));
+  for (auto& record : records) {
+    record.resize(static_cast<std::size_t>(rng.uniform_int(0, 40)));
+    for (char& c : record) c = static_cast<char>(rng.uniform_int(0, 255));
+  }
+  return records;
+}
+
+/// One random message of the given wire type (1..kLastType).
 rpc::AnyMessage random_message(Rng& rng, int type) {
   using namespace rpc;
   switch (static_cast<MessageType>(type)) {
@@ -125,6 +140,20 @@ rpc::AnyMessage random_message(Rng& rng, int type) {
       return ResvMsg{rng(), rng(), random_field(rng), random_route(rng)};
     case MessageType::kTearMsg:
       return TearMsg{rng(), rng(), random_route(rng)};
+    case MessageType::kJournalShip:
+      return JournalShip{random_header(rng),
+                         static_cast<std::uint32_t>(rng()), rng(), rng(),
+                         random_records(rng)};
+    case MessageType::kShipAck:
+      return ShipAck{rng(), random_code(rng), rng(), rng()};
+    case MessageType::kPromoteRequest:
+      return PromoteRequest{random_header(rng),
+                            static_cast<std::uint32_t>(rng()), rng()};
+    case MessageType::kPromoteReply:
+      return PromoteReply{rng(), random_code(rng), rng(), rng()};
+    case MessageType::kRedirectReply:
+      return RedirectReply{rng(), random_code(rng), rng(),
+                           static_cast<std::uint32_t>(rng())};
   }
   return rpc::TearMsg{};
 }
@@ -132,7 +161,7 @@ rpc::AnyMessage random_message(Rng& rng, int type) {
 /// Round-trips every message type, then proves every single-byte flip and
 /// every truncation/extension of one frame per type is rejected.
 std::string codec_roundtrip(Rng& rng, RpcFuzzStats* stats) {
-  for (int type = 1; type <= 13; ++type) {
+  for (int type = 1; type <= kLastType; ++type) {
     const rpc::AnyMessage original = random_message(rng, type);
     const std::vector<std::uint8_t> frame = rpc::encode(original);
     const rpc::Decoded decoded = rpc::decode_frame(frame);

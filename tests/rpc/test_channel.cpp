@@ -78,9 +78,9 @@ TEST(RpcChannel, BreakerTripsFastFailsAndRecloses) {
   const HostId peer{1};
 
   // Two consecutive failures trip the breaker.
-  channel.ping(HostId{0}, peer, 0.0);
+  EXPECT_FALSE(channel.ping(HostId{0}, peer, 0.0).ok());
   EXPECT_EQ(channel.breaker_state(peer, 0.0), BreakerState::kClosed);
-  channel.ping(HostId{0}, peer, 0.0);
+  EXPECT_FALSE(channel.ping(HostId{0}, peer, 0.0).ok());
   EXPECT_EQ(channel.breaker_state(peer, 0.0), BreakerState::kOpen);
   EXPECT_EQ(channel.peer_stats().at(peer).breaker_trips, 1u);
 
@@ -104,17 +104,18 @@ TEST(RpcChannel, FailedProbeBacksOffWithCappedCooldown) {
   RpcChannel channel(&transport, nullptr, nullptr, breaker_config(1));
   const HostId peer{1};
 
-  channel.ping(HostId{0}, peer, 0.0);  // trips immediately (threshold 1)
+  // Trips immediately (threshold 1).
+  EXPECT_FALSE(channel.ping(HostId{0}, peer, 0.0).ok());
   EXPECT_EQ(channel.breaker_state(peer, 0.0), BreakerState::kOpen);
 
   // Failed half-open probe at t=2: cooldown doubles to 4 (open until 6).
-  channel.ping(HostId{0}, peer, 2.0);
+  EXPECT_FALSE(channel.ping(HostId{0}, peer, 2.0).ok());
   EXPECT_EQ(channel.peer_stats().at(peer).breaker_trips, 2u);
   EXPECT_EQ(channel.breaker_state(peer, 5.9), BreakerState::kOpen);
   EXPECT_EQ(channel.breaker_state(peer, 6.0), BreakerState::kHalfOpen);
 
   // Another failed probe at t=6: cooldown would be 8, capped at 5.
-  channel.ping(HostId{0}, peer, 6.0);
+  EXPECT_FALSE(channel.ping(HostId{0}, peer, 6.0).ok());
   EXPECT_EQ(channel.breaker_state(peer, 10.9), BreakerState::kOpen);
   EXPECT_EQ(channel.breaker_state(peer, 11.0), BreakerState::kHalfOpen);
 }
@@ -302,10 +303,10 @@ TEST(RpcChannel, ProbeSuccessThenImmediateFailureFlapAccounting) {
   const ReserveRequest request{{0, 4, 0.0}, cpu.value(), 10.0, 0.0};
 
   // Two lost calls trip (cooldown 2); a lost probe at t=2 backs off to 4.
-  channel.call(HostId{0}, peer, request, 0.0);
-  channel.call(HostId{0}, peer, request, 0.0);
+  EXPECT_FALSE(channel.call(HostId{0}, peer, request, 0.0).ok());
+  EXPECT_FALSE(channel.call(HostId{0}, peer, request, 0.0).ok());
   EXPECT_EQ(channel.peer_stats().at(peer).breaker_trips, 1u);
-  channel.call(HostId{0}, peer, request, 2.0);
+  EXPECT_FALSE(channel.call(HostId{0}, peer, request, 2.0).ok());
   EXPECT_EQ(channel.peer_stats().at(peer).breaker_trips, 2u);
 
   // Successful probe at t=6 recloses.
@@ -490,7 +491,7 @@ TEST(RpcChannel, RoutedCallFastFailsWhenTheHintedPeersBreakerIsOpen) {
   RpcChannel channel(&transport, &server, nullptr, breaker_config(1));
 
   // Trip host 2's breaker (threshold 1) while the transport is down.
-  channel.ping(HostId{0}, HostId{2}, 0.0);
+  EXPECT_FALSE(channel.ping(HostId{0}, HostId{2}, 0.0).ok());
   ASSERT_EQ(channel.breaker_state(HostId{2}, 0.0), BreakerState::kOpen);
   transport.healthy = true;
 

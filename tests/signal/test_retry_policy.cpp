@@ -45,8 +45,9 @@ TEST(RetryPolicy, ZeroRetryBudgetGivesUpAfterOneAttempt) {
       plane.plan_message(std::nullopt, HostId{0}, HostId{1}, 0.0, 0.1,
                          malformed),
       ContractViolation);
-  EXPECT_THROW(plane.exchange_budgeted(HostId{0}, HostId{1}, 0.0, malformed),
-               ContractViolation);
+  EXPECT_THROW(
+      (void)plane.exchange_budgeted(HostId{0}, HostId{1}, 0.0, malformed),
+      ContractViolation);
 }
 
 TEST(RetryPolicy, BackoffSaturatesExactlyAtMaxTimeout) {
