@@ -14,7 +14,8 @@
 //
 // The journal benchmarks time one reserve-sized record per iteration:
 // appended to a MemoryJournal or a FileJournal (no fsync), and
-// serialized by to_line alone.
+// serialized by to_line alone; BM_JournalAppend/file_snapshot appends a
+// host-broker-sized snapshot record to a FileJournal instead.
 //
 // BM_BrokerObserve/<history_keep> times one time-weighted observe at the
 // latest time against a history of one record per 0.1 TU kept for
@@ -252,32 +253,61 @@ JournalRecord reserve_record(std::uint32_t session) {
   return record;
 }
 
-/// The sink is recreated every kRecordsPerSink appends so memory and
-/// file size stay bounded; that cost is amortized into the per-record
-/// time.
+/// A host broker's snapshot on the `durable` workload: ~170 history
+/// pairs, a ~5.4 KB line. Snapshots are about two thirds of a host
+/// broker's journal bytes there.
+JournalRecord host_snapshot_record() {
+  JournalRecord record;
+  record.op = JournalOp::kSnapshot;
+  record.time = 1234.5678901234567;
+  record.resource = ResourceId{7};
+  record.name = "host-0";
+  record.capacity = 100.0;
+  record.alpha_window = 3.0;
+  record.history_keep = 64.0;
+  record.reserved = 37.5;
+  for (std::uint32_t i = 0; i < 6; ++i) record.holdings.push_back({i, 6.25});
+  for (std::uint32_t i = 0; i < 170; ++i)
+    record.history.push_back({record.time - 64.0 + i * 0.37647058823529411,
+                              i % 3 == 0 ? 100.0 : 62.5 + i / 7.0});
+  return record;
+}
+
+/// Appends `record`, with a fresh session id each iteration. The sink is
+/// recreated every `records_per_sink` appends so memory and file size
+/// stay bounded; that cost is amortized into the per-record time.
 template <typename Sink, typename... Args>
-void append_records(benchmark::State& state, const Args&... args) {
-  constexpr std::uint32_t kRecordsPerSink = 4096;
+void append_records(benchmark::State& state, JournalRecord record,
+                    std::uint32_t records_per_sink, const Args&... args) {
   std::optional<Sink> sink;
   std::uint32_t session = 0;
   for (auto _ : state) {
-    if (session % kRecordsPerSink == 0) sink.emplace(args...);
-    if (sink->append(reserve_record(++session)) != JournalStatus::kOk)
+    if (session % records_per_sink == 0) sink.emplace(args...);
+    record.session = SessionId{++session};
+    if (sink->append(record) != JournalStatus::kOk)
       state.SkipWithError("journal append failed");
   }
 }
 
 void BM_JournalAppendMemory(benchmark::State& state) {
-  append_records<MemoryJournal>(state);
+  append_records<MemoryJournal>(state, reserve_record(0), 4096);
 }
 BENCHMARK(BM_JournalAppendMemory)->Name("BM_JournalAppend/memory");
 
 void BM_JournalAppendFile(benchmark::State& state) {
   const std::string path = "bench_journal_append.wal";
-  append_records<FileJournal>(state, path);
+  append_records<FileJournal>(state, reserve_record(0), 4096, path);
   std::remove(path.c_str());
 }
 BENCHMARK(BM_JournalAppendFile)->Name("BM_JournalAppend/file");
+
+void BM_JournalAppendFileSnapshot(benchmark::State& state) {
+  const std::string path = "bench_journal_append_snapshot.wal";
+  append_records<FileJournal>(state, host_snapshot_record(), 256, path);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_JournalAppendFileSnapshot)
+    ->Name("BM_JournalAppend/file_snapshot");
 
 void BM_JournalToLine(benchmark::State& state) {
   const JournalRecord record = reserve_record(1);

@@ -1,13 +1,16 @@
 #include "broker/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <concepts>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -280,23 +283,14 @@ JournalRecord parse_line(const std::string& line) {
 
 namespace {
 
-/// Writes all of `bytes` at the end of `fd` (O_APPEND), retrying EINTR
-/// and continuing after a partial write. False when the kernel refused
-/// the rest: some prefix of `bytes` may then be in the file.
-bool write_all(int fd, const std::string& bytes) {
-  const char* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t written = ::write(fd, data, left);
-    if (written < 0 && errno == EINTR) continue;
-    if (written <= 0) return false;
-    data += written;
-    left -= static_cast<std::size_t>(written);
-  }
-  return true;
-}
+/// Size of the mapped window mutation records are copied into, several
+/// hundred records. A roll costs a posix_fallocate, an munmap and an
+/// mmap; every page of the window a record touched stays resident until
+/// the roll. On `durable` (18 journals) 64 KiB windows added 11% to peak
+/// RSS against 5-7% at 32 KiB, for a few % more throughput.
+constexpr std::uint64_t kWindowBytes = std::uint64_t{32} << 10;
 
-/// Cuts the file back to `size` bytes, the end of its last whole record.
+/// Cuts the file back to `size` bytes.
 bool cut_to(int fd, std::uint64_t size) {
   while (::ftruncate(fd, static_cast<off_t>(size)) != 0)
     if (errno != EINTR) return false;
@@ -304,8 +298,9 @@ bool cut_to(int fd, std::uint64_t size) {
 }
 
 /// Cuts the bytes after the file's last newline and returns the size
-/// left; -1 on an I/O error. append() writes the newline last, so those
-/// bytes are a torn record that never became durable.
+/// left; -1 on an I/O error. append() stores the newline last, so those
+/// bytes are a torn record that never became durable, or padding
+/// reserved by a journal that was never closed.
 off_t cut_torn_tail(int fd) {
   struct stat info {};
   if (::fstat(fd, &info) != 0) return -1;
@@ -333,8 +328,7 @@ off_t cut_torn_tail(int fd) {
 FileJournal::FileJournal(std::string path, bool truncate)
     : path_(std::move(path)),
       fd_(::open(path_.c_str(),
-                 O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC |
-                     (truncate ? O_TRUNC : 0),
+                 O_RDWR | O_CREAT | O_CLOEXEC | (truncate ? O_TRUNC : 0),
                  0644)) {
   if (fd_ < 0) throw std::runtime_error("FileJournal: cannot open " + path_);
   // Reopening after a crash mid-append: cut the torn final record so the
@@ -345,32 +339,89 @@ FileJournal::FileJournal(std::string path, bool truncate)
     throw std::runtime_error("FileJournal: cannot cut torn tail of " + path_);
   }
   MutexLock lock(mutex_);
-  size_ = static_cast<std::uint64_t>(size);
+  cursor_ = reserved_ = static_cast<std::uint64_t>(size);
 }
 
-FileJournal::~FileJournal() { ::close(fd_); }
+FileJournal::~FileJournal() {
+  MutexLock lock(mutex_);
+  if (window_ != nullptr) ::munmap(window_, kWindowBytes);
+  // Trim the reserved padding. A failed trim leaves NUL bytes after the
+  // last newline, which read_file and a reopen already treat as a torn
+  // tail, so no record is lost either way.
+  (void)cut_to(fd_, cursor_);
+  ::close(fd_);
+}
 
 JournalStatus FileJournal::append(const JournalRecord& record) {
   MutexLock lock(mutex_);
-  // A failed cut-back leaves a torn prefix past size_; retry it before
-  // writing, or the next record would be glued onto the torn one.
-  if (torn_) {
-    if (!cut_to(fd_, size_)) return JournalStatus::kWriteFailed;
-    torn_ = false;
-  }
   line_.clear();
   append_line(line_, record);
   line_ += '\n';
-  if (!write_all(fd_, line_)) {
-    // The record is not durable and the counter must not claim it is;
-    // the caller (ResourceBroker::journal_append) fails the operation. A
-    // short write left part of the line in the file: cut it back off.
-    torn_ = !cut_to(fd_, size_);
-    return JournalStatus::kWriteFailed;
-  }
-  size_ += line_.size();
+  // Snapshots stay off the mapping: they are rare and large, and the
+  // attach-time snapshot would otherwise map a window for every journal
+  // at set-up.
+  const bool stored = record.op == JournalOp::kSnapshot ? write_at_cursor()
+                                                        : store_in_window();
+  // A refused record is not durable and the counter must not claim it
+  // is; the caller (ResourceBroker::journal_append) fails the operation.
+  if (!stored) return JournalStatus::kWriteFailed;
+  cursor_ += line_.size();
+  reserved_ = std::max(reserved_, cursor_);
   ++appended_;
   return JournalStatus::kOk;
+}
+
+bool FileJournal::store_in_window() {
+  const std::uint64_t bytes = line_.size();
+  if (window_ == nullptr || cursor_ + bytes > window_offset_ + kWindowBytes) {
+    const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t offset = cursor_ & ~(page - 1);
+    if (cursor_ + bytes > offset + kWindowBytes) return write_at_cursor();
+    // Reserve before mapping: a store into a page past the end of the
+    // file, or into a hole the disk cannot fill, raises SIGBUS.
+    const std::uint64_t end = offset + kWindowBytes;
+    if (end > reserved_) {
+      int error = 0;
+      do {
+        error = ::posix_fallocate(fd_, static_cast<off_t>(reserved_),
+                                  static_cast<off_t>(end - reserved_));
+      } while (error == EINTR);
+      if (error != 0) return false;
+      reserved_ = end;
+    }
+    if (window_ != nullptr) ::munmap(window_, kWindowBytes);
+    void* window = ::mmap(nullptr, kWindowBytes, PROT_READ | PROT_WRITE,
+                          MAP_SHARED, fd_, static_cast<off_t>(offset));
+    window_ = window == MAP_FAILED ? nullptr : static_cast<char*>(window);
+    if (window_ == nullptr) return false;
+    window_offset_ = offset;
+  }
+  // The newline is the record's commit mark: store it only after every
+  // other byte, so a process killed mid-copy leaves a torn tail, never a
+  // whole line holding part of a record.
+  char* at = window_ + (cursor_ - window_offset_);
+  std::memcpy(at, line_.data(), bytes - 1);
+  std::atomic_signal_fence(std::memory_order_release);
+  at[bytes - 1] = '\n';
+  return true;
+}
+
+bool FileJournal::write_at_cursor() {
+  // A partial write is continued and EINTR retried. A refused write may
+  // leave part of the line past the cursor, without its newline; the
+  // cursor does not move, so the next record overwrites it.
+  const char* data = line_.data();
+  std::size_t left = line_.size();
+  auto at = static_cast<off_t>(cursor_);
+  while (left > 0) {
+    const ssize_t written = ::pwrite(fd_, data, left, at);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return false;
+    data += written;
+    left -= static_cast<std::size_t>(written);
+    at += written;
+  }
+  return true;
 }
 
 std::uint64_t FileJournal::appended() const {
@@ -384,24 +435,50 @@ std::vector<JournalRecord> FileJournal::load() const {
 }
 
 std::vector<JournalRecord> FileJournal::read_file(const std::string& path) {
-  std::ifstream file(path);
+  std::ifstream file(path, std::ios::binary);
   if (!file)
     throw std::runtime_error("FileJournal: cannot open " + path);
   std::vector<JournalRecord> records;
   std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(file, line)) {
-    ++line_number;
-    // append() writes the newline last, so it is the record's commit
-    // mark: a final line without one is a torn append that never became
-    // durable, the same legal loss MemoryJournal::drop_tail models.
-    if (file.eof()) break;
-    if (line.empty() || line[0] == '#') continue;
-    try {
-      records.push_back(parse_line(line));
-    } catch (const std::exception& error) {
-      throw std::runtime_error(path + ":" + std::to_string(line_number) +
-                               ": " + error.what());
+  std::size_t line_number = 1;
+  // The line holding the first NUL byte, 0 while none was seen. A NUL
+  // starts the reserved padding unless a newline follows it; the line's
+  // bytes are not kept past it, so the padding is scanned, not stored.
+  std::size_t nul_line = 0;
+  char buf[1 << 16];
+  while (file.read(buf, sizeof buf) || file.gcount() > 0) {
+    const char* at = buf;
+    const char* const end = buf + file.gcount();
+    while (at != end) {
+      const auto* newline = static_cast<const char*>(
+          std::memchr(at, '\n', static_cast<std::size_t>(end - at)));
+      const char* const stop = newline != nullptr ? newline : end;
+      if (nul_line == 0) {
+        if (std::memchr(at, '\0', static_cast<std::size_t>(stop - at)) !=
+            nullptr)
+          nul_line = line_number;
+        else
+          line.insert(line.end(), at, stop);
+      }
+      if (newline == nullptr) break;
+      at = newline + 1;
+      if (nul_line != 0)
+        throw std::runtime_error(path + ":" + std::to_string(nul_line) +
+                                 ": journal: NUL byte in record");
+      // append() stores the newline last, so it is the record's commit
+      // mark: bytes after the last one are a torn append that never
+      // became durable (the same legal loss MemoryJournal::drop_tail
+      // models), and they are never parsed.
+      if (!line.empty() && line[0] != '#') {
+        try {
+          records.push_back(parse_line(line));
+        } catch (const std::exception& error) {
+          throw std::runtime_error(path + ":" + std::to_string(line_number) +
+                                   ": " + error.what());
+        }
+      }
+      line.clear();
+      ++line_number;
     }
   }
   return records;

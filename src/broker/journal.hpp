@@ -182,13 +182,21 @@ class MemoryJournal final : public IJournalSink {
 /// digits). The file is never compacted — `qresctl journal` uses the full
 /// history for its replay-and-compare verification.
 ///
-/// The journal holds one O_APPEND descriptor for its lifetime, and each
-/// append is one formatted line handed to a single write(2) (more only
-/// after a partial write). Nothing is buffered across appends and nothing
-/// is fsynced: a record is in the file, in the page cache, before append
-/// returns. A failed or short write is cut back off the file, so the file
-/// always ends on a whole record. The journal assumes it is the file's
-/// only writer.
+/// The journal holds one descriptor for its lifetime and writes at an
+/// explicit cursor, the end of its last whole record. Mutation records
+/// are copied into a MAP_SHARED window of the file, so an append costs no
+/// syscall until the window fills; the window then rolls (munmap, mmap)
+/// to the cursor. The file space under a window is reserved with
+/// posix_fallocate before it is mapped, so a full disk or a file-size
+/// limit fails the append before any byte is stored, never as a SIGBUS.
+/// Snapshot records (rare and large) and records longer than a window go
+/// through one pwrite(2) at the cursor instead. Every record is stored
+/// newline last, so the bytes after the last newline, the torn record and
+/// the reserved NUL padding, are never a record. Nothing is buffered
+/// across appends and nothing is fsynced: a record is in the page cache
+/// before append returns, so a killed process loses nothing. Closing the
+/// journal trims the file to its last record. The journal assumes it is
+/// the file's only writer.
 ///
 /// Thread-safe: append() and load() serialize on an internal mutex, so
 /// several brokers running on a ThreadPool may share one sink. The
@@ -198,9 +206,10 @@ class FileJournal final : public IJournalSink {
  public:
   /// Opens `path` for appending (`truncate` starts a fresh journal).
   /// Reopening an existing journal (`truncate` false) first cuts a torn
-  /// final record, the bytes after the last newline, so the next append
-  /// starts on a line of its own. Throws std::runtime_error when the file
-  /// cannot be opened or cut.
+  /// final record and any reserved padding, the bytes after the last
+  /// newline, so the next append starts on a line of its own. Maps
+  /// nothing. Throws std::runtime_error when the file cannot be opened or
+  /// cut.
   explicit FileJournal(std::string path, bool truncate = true);
   ~FileJournal() override;
 
@@ -215,11 +224,19 @@ class FileJournal final : public IJournalSink {
   const std::string& path() const noexcept { return path_; }
 
   /// Parses a journal file; throws std::runtime_error (with a line
-  /// number) on a malformed newline-terminated line. An unterminated
-  /// final line is a torn append and is dropped.
+  /// number) on a malformed newline-terminated line, a NUL byte in one
+  /// included. The bytes after the last newline (a torn append, or the
+  /// NUL padding a live or killed journal has reserved) are dropped;
+  /// memory stays bounded by the longest record, whatever the padding.
   static std::vector<JournalRecord> read_file(const std::string& path);
 
  private:
+  /// Stores line_ at the cursor through the mapped window, rolling it
+  /// first when the line does not fit.
+  bool store_in_window() QRES_REQUIRES(mutex_);
+  /// Writes line_ at the cursor with pwrite(2).
+  bool write_at_cursor() QRES_REQUIRES(mutex_);
+
   // Immutable after construction; no guard needed.
   std::string path_;
   int fd_;
@@ -228,10 +245,17 @@ class FileJournal final : public IJournalSink {
   // line. `mutable` so the logically-const load() can take it.
   mutable Mutex mutex_;
   std::string line_ QRES_GUARDED_BY(mutex_);  // reused serialization buffer
-  // Bytes up to the end of the last whole record; a failed write is cut
-  // back to it. `torn_`: that cut itself failed and must be retried.
-  std::uint64_t size_ QRES_GUARDED_BY(mutex_) = 0;
-  bool torn_ QRES_GUARDED_BY(mutex_) = false;
+  // End of the last whole record: the next record goes here. Bytes past
+  // it (a refused write's torn prefix, reserved padding) are overwritten
+  // by the next record and trimmed on close.
+  std::uint64_t cursor_ QRES_GUARDED_BY(mutex_) = 0;
+  // End of the file space known to be allocated (fallocated or written);
+  // a window is mapped only below it. Never behind cursor_.
+  std::uint64_t reserved_ QRES_GUARDED_BY(mutex_) = 0;
+  // The mapped window [window_offset_, window_offset_ + kWindowBytes),
+  // nullptr before the first mutation record or after a failed mmap.
+  char* window_ QRES_GUARDED_BY(mutex_) = nullptr;
+  std::uint64_t window_offset_ QRES_GUARDED_BY(mutex_) = 0;
   std::uint64_t appended_ QRES_GUARDED_BY(mutex_) = 0;
 };
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -440,10 +441,74 @@ TEST(Journal, ReadFileDropsATornFinalRecord) {
     EXPECT_EQ(recovered.held_by(s1), 10.0) << "cut " << cut;
     EXPECT_EQ(recovered.held_by(s2), 0.0) << "cut " << cut;
   }
-  // Corruption anywhere before the final newline is not a torn append.
-  write(content.substr(0, content.size() - last_length) + "garbage\n" +
-        content.substr(content.size() - last_length));
-  EXPECT_THROW(FileJournal::read_file(path), std::runtime_error);
+  // A live or killed journal ends in reserved NUL padding, after a torn
+  // record or right after the last newline: never a record.
+  for (const std::size_t cut : {std::size_t{0}, last_length / 2}) {
+    write(content.substr(0, content.size() - cut) +
+          std::string(std::size_t{3} << 20, '\0'));
+    std::vector<JournalRecord> records;
+    ASSERT_NO_THROW(records = FileJournal::read_file(path)) << "cut " << cut;
+    EXPECT_EQ(records.size(), cut == 0 ? 3u : 2u) << "cut " << cut;
+  }
+  // Corruption anywhere before the final newline is not a torn append: a
+  // garbage line or a NUL byte throws, naming its line.
+  const std::string head = content.substr(0, content.size() - last_length);
+  const std::string tail = content.substr(content.size() - last_length);
+  for (const std::string& bad :
+       {std::string("garbage\n"), std::string("\0\n", 2),
+        std::string("reserve\0 1 0 1 1 0\n", 20),
+        std::string(100000, '\0') + "\n"}) {
+    write(head + bad + tail);
+    try {
+      (void)FileJournal::read_file(path);
+      ADD_FAILURE() << "no throw for " << bad.size() << " corrupt bytes";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(path + ":3: "),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ReadFileOfALiveJournalReturnsExactlyTheAppendedRecords) {
+  // An open journal's file runs past its last record into reserved
+  // padding; reading it (perfbench's recovery check, `qresctl journal`)
+  // must see exactly the records appended so far, before and after the
+  // mapped window rolls.
+  const std::string path = "test_journal_live_read.wal";
+  std::vector<std::string> appended;
+  FileJournal journal(path);
+  const auto append_and_read = [&](std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t n = static_cast<std::uint32_t>(appended.size());
+      JournalRecord record =
+          n % 50 == 0 ? pinned_snapshot()
+                      : mutation(JournalOp::kReserveLeased, n / 4.0, rid,
+                                 SessionId{n}, 1.0 + n / 9.0, 5.0);
+      ASSERT_EQ(journal.append(record), JournalStatus::kOk);
+      appended.push_back(to_line(record));
+    }
+    std::vector<JournalRecord> records;
+    ASSERT_NO_THROW(records = FileJournal::read_file(path));
+    ASSERT_EQ(records.size(), appended.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+      ASSERT_EQ(to_line(records[i]), appended[i]) << "record " << i;
+    ASSERT_EQ(journal.load().size(), appended.size());
+  };
+  append_and_read(1);  // the snapshot only: nothing mapped yet
+  append_and_read(20);
+  struct stat info {};
+  ASSERT_EQ(::stat(path.c_str(), &info), 0);
+  const auto reserved = static_cast<std::uint64_t>(info.st_size);
+  std::uint64_t written = 0;
+  for (const std::string& line : appended) written += line.size() + 1;
+  ASSERT_GT(reserved, written);  // the padding is there
+  // Well past the first reservation: several window rolls.
+  append_and_read(static_cast<std::uint32_t>(3 * reserved / 40));
+  written = 0;
+  for (const std::string& line : appended) written += line.size() + 1;
+  ASSERT_GT(written, 3 * reserved);
   std::remove(path.c_str());
 }
 
@@ -490,59 +555,226 @@ TEST(Journal, ReopenCutsATornTailBeforeAppending) {
 }
 
 TEST(Journal, ShortWriteLeavesNoTornBytes) {
-  // A write the kernel cuts short (here: a file-size limit) must leave no
-  // partial line behind, or the next append is glued onto it and the
-  // whole journal stops parsing. The limit and the SIGXFSZ disposition
-  // are process-wide, so the appends run in a forked child.
+  // A write the kernel refuses or cuts short (here: a file-size limit)
+  // must leave no partial line behind, or the next append is glued onto
+  // it and the whole journal stops parsing. The journal reserves file
+  // space ahead of its cursor, so the limit is set at the end of that
+  // reservation and records are appended until one is refused: a mutation
+  // that needs a new window (refused at the reservation, before any byte
+  // is stored) or a snapshot written across the limit (cut short). The
+  // limit and the SIGXFSZ disposition are process-wide, so the appends
+  // run in a forked child, which reports how many of them landed through
+  // a pipe.
   const std::string path = "test_journal_short_write.wal";
-  const JournalRecord first = mutation(JournalOp::kReserve, 1.0, rid, s1,
-                                       10.0, 0.0);
-  const JournalRecord refused = mutation(JournalOp::kRelease, 1.5, rid, s3,
-                                         9.0, 0.0);
-  const JournalRecord third = mutation(JournalOp::kReserve, 2.0, rid, s2,
-                                       20.0, 0.0);
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    int code = 0;
-    {
-      FileJournal journal(path);
-      struct stat info {};
-      rlimit saved {};
-      if (journal.append(first) != JournalStatus::kOk) code = 1;
-      if (code == 0 && (::stat(path.c_str(), &info) != 0 ||
-                        ::getrlimit(RLIMIT_FSIZE, &saved) != 0))
-        code = 2;
-      if (code == 0) {
-        ::signal(SIGXFSZ, SIG_IGN);
-        rlimit low = saved;
-        low.rlim_cur = static_cast<rlim_t>(info.st_size) + 10;
-        if (::setrlimit(RLIMIT_FSIZE, &low) != 0) code = 3;
+  const JournalRecord last = mutation(JournalOp::kReserve, 1e6, rid, s2,
+                                      20.0, 0.0);
+  constexpr std::uint32_t kMaxAppends = 1u << 20;
+  for (const bool snapshots : {false, true}) {
+    SCOPED_TRACE(snapshots ? "snapshots" : "mutations");
+    // The first record is a mutation either way: it maps the first
+    // window, which reserves the space the limit is set at.
+    const auto record = [snapshots](std::uint32_t i) {
+      if (!snapshots || i == 0)
+        return mutation(i % 2 == 0 ? JournalOp::kReserve : JournalOp::kRelease,
+                        1.0 + i / 8.0, rid, SessionId{i}, 10.0 + i / 3.0, 0.0);
+      JournalRecord snapshot = pinned_snapshot();
+      snapshot.time = i;
+      for (std::uint32_t k = 0; k < 100; ++k)
+        snapshot.history.push_back({i + k / 7.0, 100.0 - k / 3.0});
+      return snapshot;
+    };
+    int report[2];
+    ASSERT_EQ(::pipe(report), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      ::close(report[0]);
+      int code = 0;
+      std::uint32_t accepted = 0;
+      {
+        FileJournal journal(path);
+        struct stat info {};
+        rlimit saved {};
+        if (journal.append(record(accepted)) != JournalStatus::kOk) code = 1;
+        ++accepted;
+        if (code == 0 && (::stat(path.c_str(), &info) != 0 ||
+                          ::getrlimit(RLIMIT_FSIZE, &saved) != 0))
+          code = 2;
+        if (code == 0) {
+          ::signal(SIGXFSZ, SIG_IGN);
+          rlimit low = saved;
+          low.rlim_cur = static_cast<rlim_t>(info.st_size);
+          if (::setrlimit(RLIMIT_FSIZE, &low) != 0) code = 3;
+        }
+        while (code == 0 &&
+               journal.append(record(accepted)) == JournalStatus::kOk)
+          if (++accepted == kMaxAppends) code = 4;  // nothing was refused
+        if (code == 0 && ::setrlimit(RLIMIT_FSIZE, &saved) != 0) code = 5;
+        if (code == 0 && journal.append(last) != JournalStatus::kOk)
+          code = 6;
+        if (code == 0 && journal.appended() != accepted + 1u) code = 7;
       }
-      if (code == 0 && journal.append(refused) == JournalStatus::kOk)
-        code = 4;
-      if (code == 0 && ::setrlimit(RLIMIT_FSIZE, &saved) != 0) code = 5;
-      if (code == 0 && journal.append(third) != JournalStatus::kOk) code = 6;
-      if (code == 0 && journal.appended() != 2) code = 7;
+      if (::write(report[1], &accepted, sizeof accepted) != sizeof accepted)
+        code = 8;
+      ::_exit(code);
     }
-    ::_exit(code);
+    ::close(report[1]);
+    std::uint32_t accepted = 0;
+    ASSERT_EQ(::read(report[0], &accepted, sizeof accepted),
+              static_cast<ssize_t>(sizeof accepted));
+    ::close(report[0]);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+    ASSERT_GT(accepted, 1u);
+    std::string expected;
+    for (std::uint32_t i = 0; i < accepted; ++i)
+      expected += to_line(record(i)) + "\n";
+    expected += to_line(last) + "\n";
+    std::string content;
+    {
+      std::ifstream file(path);
+      content.assign(std::istreambuf_iterator<char>(file),
+                     std::istreambuf_iterator<char>());
+    }
+    EXPECT_EQ(content, expected);
+    std::vector<JournalRecord> records;
+    ASSERT_NO_THROW(records = FileJournal::read_file(path));
+    ASSERT_EQ(records.size(), accepted + 1u);
+    EXPECT_EQ(to_line(records.front()), to_line(record(0)));
+    EXPECT_EQ(to_line(records.back()), to_line(last));
   }
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-  std::string content;
+  std::remove(path.c_str());
+}
+
+TEST(Journal, KilledAppenderLeavesAWholePrefix) {
+  // A forked child journals a seeded broker workload (mutations and a
+  // snapshot every 40 of them, several windows' worth) and is
+  // SIGKILLed at seeded delays. Whatever instruction the kill lands on,
+  // the file must hold exactly the first k records, and a reopened
+  // journal must cut the torn tail and padding and append record k+1
+  // cleanly. SIGKILL keeps the page cache, mapped pages included, so
+  // this checks record order and framing, not power loss, which cannot
+  // be simulated in a test.
+  const std::string path = "test_journal_killed.wal";
+  constexpr std::uint32_t kOps = 8000;
+  constexpr std::size_t kSnapshotEvery = 40;
+  const auto drive = [](ResourceBroker& broker) {
+    std::mt19937_64 rng(17);
+    std::vector<SessionId> held;
+    for (std::uint32_t i = 1; i <= kOps; ++i) {
+      if (held.size() < 8 && rng() % 3 != 0) {
+        held.push_back(SessionId{i});
+        QRES_REQUIRE(broker.reserve(i, held.back(), 1.0 + rng() % 10),
+                     "reserve refused");
+      } else if (!held.empty()) {
+        broker.release(i, held.front());
+        held.erase(held.begin());
+      }
+    }
+  };
+  std::vector<std::string> expected;
   {
-    std::ifstream file(path);
-    content.assign(std::istreambuf_iterator<char>(file),
-                   std::istreambuf_iterator<char>());
+    MemoryJournal memory(/*compact_on_snapshot=*/false);
+    ResourceBroker broker = make();
+    broker.attach_journal(&memory, kSnapshotEvery, 0.0);
+    drive(broker);
+    for (const JournalRecord& record : memory.records())
+      expected.push_back(to_line(record));
   }
-  EXPECT_EQ(content, to_line(first) + "\n" + to_line(third) + "\n");
-  std::vector<JournalRecord> records;
-  ASSERT_NO_THROW(records = FileJournal::read_file(path));
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(to_line(records[0]), to_line(first));
-  EXPECT_EQ(to_line(records[1]), to_line(third));
+  std::uint64_t total_bytes = 0;
+  for (const std::string& line : expected) total_bytes += line.size() + 1;
+  ASSERT_GT(total_bytes, std::uint64_t{256} << 10);  // 8+ 32 KiB windows
+
+  // Runs the child; kills it `delay` after it attached its journal, or
+  // lets it finish when `delay` is negative. Returns how long it ran.
+  const auto run_child = [&](std::chrono::microseconds delay) {
+    int ready[2];
+    EXPECT_EQ(::pipe(ready), 0);
+    const pid_t child = ::fork();
+    if (child == 0) {
+      ::close(ready[0]);
+      FileJournal journal(path);
+      ResourceBroker broker = make();
+      broker.attach_journal(&journal, kSnapshotEvery, 0.0);
+      const char byte = 1;
+      if (::write(ready[1], &byte, 1) != 1) ::_exit(1);
+      drive(broker);
+      ::_exit(0);  // the journal is never closed: padding stays
+    }
+    EXPECT_GT(child, 0);
+    ::close(ready[1]);
+    char byte = 0;
+    EXPECT_EQ(::read(ready[0], &byte, 1), 1);
+    ::close(ready[0]);
+    const auto start = std::chrono::steady_clock::now();
+    if (delay.count() >= 0) {
+      std::this_thread::sleep_for(delay);
+      ::kill(child, SIGKILL);
+    }
+    int status = 0;
+    EXPECT_EQ(::waitpid(child, &status, 0), child);
+    // Killed, or done before the kill landed; never SIGBUS or an abort.
+    EXPECT_TRUE((WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL &&
+                 delay.count() >= 0) ||
+                (WIFEXITED(status) && WEXITSTATUS(status) == 0))
+        << "status " << status;
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - start);
+  };
+
+  // One uninterrupted run sizes the kill delays to this build's speed.
+  const std::chrono::microseconds full =
+      run_child(std::chrono::microseconds(-1));
+  ASSERT_EQ(FileJournal::read_file(path).size(), expected.size());
+  std::mt19937_64 rng(3);
+  std::uint32_t mid_run = 0;
+  for (int kill = 0; kill < 20; ++kill) {
+    const auto delay = std::chrono::microseconds(
+        static_cast<std::int64_t>(rng() % (full.count() + 1)));
+    SCOPED_TRACE("kill " + std::to_string(kill) + " after " +
+                 std::to_string(delay.count()) + " us");
+    run_child(delay);
+    std::vector<JournalRecord> records;
+    ASSERT_NO_THROW(records = FileJournal::read_file(path));
+    const std::size_t k = records.size();
+    ASSERT_GE(k, 1u);  // the attach-time snapshot precedes the ready byte
+    ASSERT_LE(k, expected.size());
+    for (std::size_t i = 0; i < k; ++i)
+      ASSERT_EQ(to_line(records[i]), expected[i]) << "record " << i;
+    std::uint64_t kept_bytes = 0;
+    for (std::size_t i = 0; i < k; ++i) kept_bytes += expected[i].size() + 1;
+    if (k < expected.size() && kept_bytes > (std::uint64_t{64} << 10))
+      ++mid_run;
+
+    const ResourceBroker before = ResourceBroker::recover(records);
+    const JournalRecord extra =
+        mutation(JournalOp::kReserve, kOps + 1.0, rid, SessionId{kOps + 1},
+                 before.available() / 2, 0.0);
+    {
+      FileJournal reopened(path, /*truncate=*/false);
+      ASSERT_EQ(reopened.append(extra), JournalStatus::kOk);
+    }
+    std::string content;
+    {
+      std::ifstream file(path);
+      content.assign(std::istreambuf_iterator<char>(file),
+                     std::istreambuf_iterator<char>());
+    }
+    std::string want;
+    for (std::size_t i = 0; i < k; ++i) want += expected[i] + "\n";
+    want += to_line(extra) + "\n";
+    ASSERT_EQ(content, want);  // so read_file gives records + extra
+    records.push_back(extra);
+    const ResourceBroker after = ResourceBroker::recover(records);
+    EXPECT_EQ(after.held_by(extra.session), extra.amount);
+    EXPECT_EQ(after.reserved(), before.reserved() + extra.amount);
+  }
+  // Kills spread over the whole run; at least one must land before the
+  // end and past the first 64 KiB of records (a window roll), or the
+  // test checked little.
+  EXPECT_GE(mid_run, 1u);
   std::remove(path.c_str());
 }
 
